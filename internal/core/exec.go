@@ -140,7 +140,7 @@ func (e *Engine) initialState() *State {
 	st := &State{
 		ID:   e.nextID,
 		regs: make([]*expr.Expr, len(e.Arch.Regs)),
-		mem:  newMemory(e.Prog.Image(), e.Arch.Bits),
+		mem:  newMemory(e.Prog.Image(), bv.Mask(e.Arch.Bits)),
 		PC:   e.Prog.Entry,
 		home: e.B,
 	}
@@ -208,12 +208,10 @@ func (e *Engine) finish(st *State) {
 	if e.Opts.CaptureEndState {
 		end := &EndState{
 			Regs: append([]*expr.Expr(nil), st.regs...),
-			Mem:  make(map[uint64]*expr.Expr, len(st.mem.overlay)),
+			Mem:  make(map[uint64]*expr.Expr, st.mem.OverlaySize()),
 			Base: st.mem.base,
 		}
-		for a, v := range st.mem.overlay {
-			end.Mem[a] = v
-		}
+		st.mem.each(func(a uint64, v *expr.Expr) { end.Mem[a] = v })
 		pr.End = end
 	}
 	e.report.Paths = append(e.report.Paths, pr)

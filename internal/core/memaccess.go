@@ -165,11 +165,11 @@ func (c *execCtx) concretize(addr *expr.Expr, guard *expr.Expr) (uint64, bool) {
 // entry (used to keep the translation cache sound under self-modifying
 // code).
 func (m *Memory) writtenRange(addr uint64, n int) bool {
-	if len(m.overlay) == 0 {
+	if m.n == 0 {
 		return false
 	}
 	for i := 0; i < n; i++ {
-		if _, ok := m.overlay[(addr+uint64(i))&m.mask]; ok {
+		if m.get((addr+uint64(i))&m.mask) != nil {
 			return true
 		}
 	}

@@ -96,21 +96,19 @@ func (e *Engine) conj(conds []*expr.Expr) *expr.Expr {
 // mergeMemory builds the byte-wise ite merge of two overlays sharing a
 // base image.
 func (e *Engine) mergeMemory(condA *expr.Expr, a, b *Memory) *Memory {
-	m := &Memory{base: a.base, overlay: make(map[uint64]*expr.Expr, len(a.overlay)+len(b.overlay)), mask: a.mask}
-	for addr, va := range a.overlay {
-		vb, ok := b.overlay[addr]
-		if !ok {
+	m := newMemory(a.base, a.mask)
+	a.each(func(addr uint64, va *expr.Expr) {
+		vb := b.get(addr)
+		if vb == nil {
 			vb = e.B.Const(8, uint64(b.base[addr]))
 		}
-		m.overlay[addr] = e.ite(condA, va, vb)
-	}
-	for addr, vb := range b.overlay {
-		if _, done := a.overlay[addr]; done {
-			continue
+		m.set(addr, e.ite(condA, va, vb))
+	})
+	b.each(func(addr uint64, vb *expr.Expr) {
+		if a.get(addr) == nil {
+			m.set(addr, e.ite(condA, e.B.Const(8, uint64(a.base[addr])), vb))
 		}
-		va := e.B.Const(8, uint64(a.base[addr]))
-		m.overlay[addr] = e.ite(condA, va, vb)
-	}
+	})
 	return m
 }
 

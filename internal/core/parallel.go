@@ -372,9 +372,11 @@ func (e *Engine) workerEngine(i int, vt *visitTable, pr *parRun) *Engine {
 }
 
 // adopt re-homes a state onto this worker's builder by transferring every
-// live term. The state is exclusively owned by the caller (it was just
-// popped), so in-place mutation is safe; reading the source builder's
-// nodes is safe because expression nodes are immutable.
+// live term. The state's register, path-condition and output slices are
+// its own (clone copies them) and it was just popped, so they are
+// rewritten in place; its memory pages may be shared with a sibling on
+// another worker, so they are rewritten copy-on-write. Reading the source
+// builder's nodes is safe because expression nodes are immutable.
 func (e *Engine) adopt(st *State) {
 	if st.home == e.B {
 		return
@@ -384,9 +386,7 @@ func (e *Engine) adopt(st *State) {
 	for i, r := range st.regs {
 		st.regs[i] = expr.Transfer(e.B, r, memo)
 	}
-	for a, v := range st.mem.overlay {
-		st.mem.overlay[a] = expr.Transfer(e.B, v, memo)
-	}
+	st.mem.each(func(a uint64, v *expr.Expr) { st.mem.set(a, expr.Transfer(e.B, v, memo)) })
 	for i, c := range st.PathCond {
 		st.PathCond[i] = expr.Transfer(e.B, c, memo)
 	}

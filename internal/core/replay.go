@@ -66,7 +66,7 @@ func (e *Engine) ReplayConcrete(input []byte) (*Replay, error) {
 				EndPC:  next.PC,
 				Steps:  next.Steps,
 				Regs:   make([]uint64, len(next.regs)),
-				Mem:    make(map[uint64]byte, len(next.mem.base)+len(next.mem.overlay)),
+				Mem:    make(map[uint64]byte, len(next.mem.base)+next.mem.OverlaySize()),
 			}
 			for _, o := range next.Output {
 				r.Output = append(r.Output, byte(expr.Eval(o, env)))
@@ -77,9 +77,7 @@ func (e *Engine) ReplayConcrete(input []byte) (*Replay, error) {
 			for a, b := range next.mem.base {
 				r.Mem[a] = b
 			}
-			for a, v := range next.mem.overlay {
-				r.Mem[a] = byte(expr.Eval(v, env))
-			}
+			next.mem.each(func(a uint64, v *expr.Expr) { r.Mem[a] = byte(expr.Eval(v, env)) })
 			return r, nil
 		}
 		st = next

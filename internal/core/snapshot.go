@@ -32,6 +32,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bv"
 	"repro/internal/expr"
 	"repro/internal/prog"
 )
@@ -199,15 +200,13 @@ func (e *Engine) snapshot(live []*State, elapsed time.Duration) *Snapshot {
 			Cond:       refs(st.PathCond),
 			Out:        refs(st.Output),
 		}
-		if n := len(st.mem.overlay); n > 0 {
+		if n := st.mem.OverlaySize(); n > 0 {
 			ss.OverlayAddrs = make([]uint64, 0, n)
-			for a := range st.mem.overlay {
-				ss.OverlayAddrs = append(ss.OverlayAddrs, a)
-			}
+			st.mem.each(func(a uint64, _ *expr.Expr) { ss.OverlayAddrs = append(ss.OverlayAddrs, a) })
 			sort.Slice(ss.OverlayAddrs, func(i, j int) bool { return ss.OverlayAddrs[i] < ss.OverlayAddrs[j] })
 			ss.OverlayVals = make([]uint32, n)
 			for i, a := range ss.OverlayAddrs {
-				ss.OverlayVals[i] = ref(st.mem.overlay[a])
+				ss.OverlayVals[i] = ref(st.mem.get(a))
 			}
 		}
 		s.Frontier = append(s.Frontier, ss)
@@ -326,7 +325,7 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 		if len(ss.OverlayAddrs) != len(ss.OverlayVals) {
 			return nil, fmt.Errorf("core: snapshot frontier state %d overlay addr/val length mismatch", i)
 		}
-		mem := newMemory(e.Prog.Image(), e.Arch.Bits)
+		mem := newMemory(e.Prog.Image(), bv.Mask(e.Arch.Bits))
 		for k, a := range ss.OverlayAddrs {
 			v, err := get(ss.OverlayVals[k])
 			if err != nil {
@@ -335,7 +334,7 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 			if v.Width() != 8 {
 				return nil, fmt.Errorf("core: snapshot overlay byte at %#x has width %d", a, v.Width())
 			}
-			mem.overlay[a&mem.mask] = v
+			mem.set(a&mem.mask, v)
 		}
 		live = append(live, &State{
 			ID:         ss.ID,

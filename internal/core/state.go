@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"sync/atomic"
 
 	"repro/internal/adl"
-	"repro/internal/bv"
 	"repro/internal/expr"
 )
 
@@ -128,30 +129,97 @@ func (st *State) SetReg(r *adl.Reg, v *expr.Expr) {
 // Memory is the byte-granular symbolic memory of one path: a shared
 // concrete base image overlaid with symbolic writes. Addresses are
 // concrete (the engine concretizes symbolic addresses before access).
+//
+// The overlay is copy-on-write in 64-byte pages (docs/engine.md): a fork
+// shares the page table and every page, and a write first copies the
+// table unless this Memory owns it, then the page unless its owner tag
+// is this Memory's.
 type Memory struct {
-	base    map[uint64]byte
-	overlay map[uint64]*expr.Expr
-	mask    uint64 // address mask (2^bits - 1)
+	base     map[uint64]byte
+	pages    map[uint64]*page // page number -> page
+	ownTable bool             // the page table is this Memory's alone
+	tag      uint64           // owner tag of the pages this Memory may write in place
+	n        int              // written bytes (non-nil cells), the exact OverlaySize
+	mask     uint64           // address mask (2^bits - 1)
 }
 
-// newMemory wraps a concrete image.
-func newMemory(base map[uint64]byte, bits uint) *Memory {
-	return &Memory{base: base, overlay: make(map[uint64]*expr.Expr), mask: bv.Mask(bits)}
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+)
+
+// page is one copy-on-write unit of the overlay. A nil cell is
+// unwritten: reads fall through to the base image.
+type page struct {
+	cells [pageSize]*expr.Expr
+	owner uint64
 }
 
+// memTags issues owner tags. Only their uniqueness matters, and states
+// move between workers, so one counter serves every engine.
+var memTags atomic.Uint64
+
+// newMemory returns an empty overlay over a concrete image.
+func newMemory(base map[uint64]byte, mask uint64) *Memory {
+	return &Memory{base: base, pages: make(map[uint64]*page), ownTable: true, tag: memTags.Add(1), mask: mask}
+}
+
+// clone shares the page table and pages with the copy and revokes the
+// parent's ownership of both, so neither side can write through what the
+// other still reads.
 func (m *Memory) clone() *Memory {
-	o := make(map[uint64]*expr.Expr, len(m.overlay))
-	for k, v := range m.overlay {
-		o[k] = v
+	tag := memTags.Add(2)
+	m.tag, m.ownTable = tag-1, false
+	return &Memory{base: m.base, pages: m.pages, tag: tag, n: m.n, mask: m.mask}
+}
+
+// get returns the overlay cell at a masked address; nil if unwritten.
+func (m *Memory) get(addr uint64) *expr.Expr {
+	if p := m.pages[addr>>pageBits]; p != nil {
+		return p.cells[addr&(pageSize-1)]
 	}
-	return &Memory{base: m.base, overlay: o, mask: m.mask}
+	return nil
+}
+
+// set stores a byte term at a masked address, copying the page table
+// and the page first when this Memory does not own them.
+func (m *Memory) set(addr uint64, v *expr.Expr) {
+	if !m.ownTable {
+		m.pages, m.ownTable = maps.Clone(m.pages), true
+	}
+	k := addr >> pageBits
+	p := m.pages[k]
+	if p == nil {
+		p = &page{owner: m.tag}
+		m.pages[k] = p
+	} else if p.owner != m.tag {
+		p = &page{cells: p.cells, owner: m.tag}
+		m.pages[k] = p
+	}
+	i := addr & (pageSize - 1)
+	if p.cells[i] == nil {
+		m.n++
+	}
+	p.cells[i] = v
+}
+
+// each calls fn for every written byte, in no particular order. fn may
+// set bytes of m.
+func (m *Memory) each(fn func(addr uint64, v *expr.Expr)) {
+	for k, p := range m.pages {
+		for i, v := range &p.cells {
+			if v != nil {
+				fn(k<<pageBits|uint64(i), v)
+			}
+		}
+	}
 }
 
 // ByteAt returns the symbolic byte at addr. b is used to wrap concrete
 // bytes; unwritten, unmapped memory reads as zero.
 func (m *Memory) ByteAt(b *expr.Builder, addr uint64) *expr.Expr {
 	addr &= m.mask
-	if v, ok := m.overlay[addr]; ok {
+	if v := m.get(addr); v != nil {
 		return v
 	}
 	return b.Const(8, uint64(m.base[addr]))
@@ -162,11 +230,11 @@ func (m *Memory) SetByte(addr uint64, v *expr.Expr) {
 	if v.Width() != 8 {
 		panic("core: SetByte with non-byte value")
 	}
-	m.overlay[addr&m.mask] = v
+	m.set(addr&m.mask, v)
 }
 
 // OverlaySize reports the number of symbolically written bytes.
-func (m *Memory) OverlaySize() int { return len(m.overlay) }
+func (m *Memory) OverlaySize() int { return m.n }
 
 // Read assembles cells bytes at addr in the given byte order.
 func (m *Memory) Read(b *expr.Builder, addr uint64, cells uint, little bool) *expr.Expr {
@@ -204,7 +272,7 @@ func (m *Memory) ConcreteFetch(addr uint64, n int) ([]byte, bool) {
 	out := make([]byte, n)
 	for i := 0; i < n; i++ {
 		a := (addr + uint64(i)) & m.mask
-		if v, ok := m.overlay[a]; ok {
+		if v := m.get(a); v != nil {
 			if !v.IsConst() {
 				return nil, false
 			}

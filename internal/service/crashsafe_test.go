@@ -567,3 +567,35 @@ func abs(n int) int {
 	}
 	return n
 }
+
+// TestJournalFinishBeforeSubmitStaysClosed: replay treats a finished
+// record as final even when the job's submitted record comes after it,
+// as in a journal written by a daemon that queued jobs before journaling
+// their admission; the job must not re-run from its late submission.
+func TestJournalFinishBeforeSubmitStaysClosed(t *testing.T) {
+	image := buildImage(t, "tiny32", crashSrc)
+	dir := t.TempDir()
+	seedJournal(t, dir, []map[string]any{
+		{"type": "started", "id": "j000004"},
+		{"type": "finished", "id": "j000004", "state": StateDone},
+		submittedRec("j000004", crashSpec(image)),
+		submittedRec("j000006", crashSpec(image)),
+	})
+	srv, hs, c := startServer(t, Config{Obs: obs.New(), StateDir: dir})
+	defer srv.Close()
+	defer hs.Close()
+
+	if _, err := c.Status("j000004"); err == nil {
+		t.Error("finished job j000004 replayed from its late submitted record")
+	}
+	fin, err := c.Wait("j000006", 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Status != StateDone || !fin.Recovered {
+		t.Errorf("pending job j000006: status %s recovered=%v, want done and recovered", fin.Status, fin.Recovered)
+	}
+	if _, recovered, _ := srv.JournalStats(); recovered != 1 {
+		t.Errorf("recovered %d jobs, want 1", recovered)
+	}
+}

@@ -67,16 +67,29 @@ type Job struct {
 	cancelCh  chan struct{} // closed on cancel/kill; wired to opts.Cancel
 	cancelReq atomic.Bool
 
-	doneCh chan struct{} // closed when terminal
+	// admitted is closed once the job's "submitted" journal record has
+	// been appended; no runner touches the job before that, so the
+	// journal never holds a start or a finish ahead of its admission.
+	admitted chan struct{}
+
+	doneCh chan struct{} // closed when the terminal state is published
 
 	mu        sync.Mutex
-	state     string // queued|running|done|failed|canceled
+	state     string // queued|running|done|failed|canceled, as observers see it
 	err       *JobError
 	stats     *JobStats
+	final     *outcome    // terminal outcome, recorded by finish and shown by publish
 	coreStats *core.Stats // full engine stats for the ledger record
 	events    []Event
 	started   time.Time     // when the job left the queue
-	wake      chan struct{} // closed+replaced on every emit/finish: results-stream wakeup
+	wake      chan struct{} // closed+replaced on every emit/publish: results-stream wakeup
+}
+
+// outcome is a job's terminal state, recorded before it is published.
+type outcome struct {
+	state string
+	err   *JobError
+	stats *JobStats
 }
 
 func newJob(a *adl.Arch, p *prog.Program, mode string, opts core.Options, seed []byte, maxRuns int) *Job {
@@ -88,6 +101,7 @@ func newJob(a *adl.Arch, p *prog.Program, mode string, opts core.Options, seed [
 		seed:     seed,
 		maxRuns:  maxRuns,
 		cancelCh: make(chan struct{}),
+		admitted: make(chan struct{}),
 		doneCh:   make(chan struct{}),
 		state:    StateQueued,
 		wake:     make(chan struct{}),
@@ -134,23 +148,13 @@ func (j *Job) resetForRetry() {
 }
 
 // canceledEarly reports whether the job was canceled while still
-// queued; if so it transitions straight to canceled.
+// queued; if so it records the canceled outcome.
 func (j *Job) canceledEarly() bool {
 	if !j.cancelReq.Load() {
 		return false
 	}
-	j.mu.Lock()
-	terminal := j.state != StateQueued
-	if !terminal {
-		j.state = StateCanceled
-		j.err = &JobError{Code: CodeCanceled, Msg: "canceled before running"}
-		j.wakeWaitersLocked()
-	}
-	j.mu.Unlock()
-	if !terminal {
-		close(j.doneCh)
-	}
-	return !terminal
+	j.finish(StateCanceled, &JobError{Code: CodeCanceled, Msg: "canceled before running"}, nil)
+	return true
 }
 
 func (j *Job) setRunning() {
@@ -167,17 +171,30 @@ func (j *Job) wakeWaitersLocked() {
 	j.wake = make(chan struct{})
 }
 
-// finish transitions to a terminal state exactly once and wakes every
-// results waiter.
+// finish records the job's terminal outcome, exactly once. Observers
+// do not see it until publish, which the server calls only after the
+// outcome's durable writes (journal, ledger, profile) are done.
 func (j *Job) finish(state string, err *JobError, stats *JobStats) {
 	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
-		j.mu.Unlock()
-		return
+	if j.final == nil {
+		j.final = &outcome{state: state, err: err, stats: stats}
 	}
-	j.state = state
-	j.err = err
-	j.stats = stats
+	j.mu.Unlock()
+}
+
+// outcome returns the recorded terminal outcome.
+func (j *Job) outcome() outcome {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return *j.final
+}
+
+// publish makes the recorded outcome visible: status, results waiters
+// and the SSE done event all see it from here on. Called once, after
+// finish.
+func (j *Job) publish() {
+	j.mu.Lock()
+	j.state, j.err, j.stats = j.final.state, j.final.err, j.final.stats
 	j.wakeWaitersLocked()
 	j.mu.Unlock()
 	close(j.doneCh)

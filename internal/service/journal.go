@@ -92,13 +92,15 @@ func (s *Server) openJournal() ([]*Job, error) {
 			"dir", s.cfg.StateDir)
 	}
 
-	// Replay: the last record wins per job; submitted records carry the
-	// spec needed to rebuild.
+	// Replay: submitted records carry the spec needed to rebuild, and a
+	// finished record closes its job for good, even when a submitted
+	// record for the job comes later in the file.
 	type pending struct {
 		spec     JobSpec
 		attempts int
 	}
 	open := map[string]*pending{}
+	closed := map[string]bool{}
 	maxSeq := 0
 	err = log.Load(func(payload []byte) error {
 		var rec journalRecord
@@ -111,7 +113,7 @@ func (s *Server) openJournal() ([]*Job, error) {
 		}
 		switch rec.Type {
 		case recSubmitted:
-			if rec.Spec != nil {
+			if rec.Spec != nil && !closed[rec.ID] {
 				// Attempt is zero on live admissions and carries the
 				// pre-crash retry count on compacted records.
 				open[rec.ID] = &pending{spec: *rec.Spec, attempts: rec.Attempt}
@@ -122,6 +124,7 @@ func (s *Server) openJournal() ([]*Job, error) {
 			}
 		case recFinished:
 			delete(open, rec.ID)
+			closed[rec.ID] = true
 		}
 		return nil
 	})
@@ -294,18 +297,15 @@ func (s *Server) journalAppend(rec journalRecord) {
 
 // journalFinished closes a job out in the journal and removes its
 // checkpoint — terminal jobs are never replayed.
-func (s *Server) journalFinished(j *Job) {
+func (s *Server) journalFinished(j *Job, o outcome) {
 	if s.journal == nil {
 		return
 	}
-	j.mu.Lock()
-	state := j.state
 	code := ""
-	if j.err != nil {
-		code = j.err.Code
+	if o.err != nil {
+		code = o.err.Code
 	}
-	j.mu.Unlock()
-	s.journalAppend(journalRecord{Type: recFinished, ID: j.id, State: state, Code: code})
+	s.journalAppend(journalRecord{Type: recFinished, ID: j.id, State: o.state, Code: code})
 	os.Remove(s.ckptPath(j.id))
 	os.Remove(s.ckptPath(j.id) + ".tmp")
 }

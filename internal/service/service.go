@@ -243,6 +243,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.queue = make(chan *Job, cfg.QueueDepth+len(recovered))
 	for _, j := range recovered {
+		close(j.admitted) // compaction rewrote its submitted record
 		s.jobs[j.id] = j
 		s.queue <- j
 		s.m.recovered.Inc()
@@ -286,6 +287,7 @@ func (s *Server) PersistStats() smt.PersistStats {
 func (s *Server) runner() {
 	defer s.wg.Done()
 	for j := range s.queue {
+		<-j.admitted
 		s.m.queueDepth.Set(int64(len(s.queue)))
 		if j.canceledEarly() {
 			s.finishJob(j)
@@ -364,11 +366,15 @@ func (s *Server) Submit(spec JobSpec) (*JobStatus, *JobError) {
 	s.mu.Unlock()
 
 	s.journalAppend(journalRecord{Type: recSubmitted, ID: j.id, Spec: &spec})
+	// The status is read before the runner may start the job, so the
+	// caller always sees it queued.
+	st := j.status()
+	close(j.admitted)
 	s.m.admitted.Inc()
 	s.m.queueDepth.Set(int64(len(s.queue)))
 	s.log.Info("job admitted", "job", j.id, "arch", j.p.Arch, "mode", j.mode,
 		"workers", j.opts.Workers, "queue_depth", len(s.queue))
-	return j.status(), nil
+	return st, nil
 }
 
 // buildJob validates a spec against the governor caps and prepares the
@@ -429,14 +435,14 @@ func (s *Server) buildJob(spec JobSpec) (*Job, *JobError) {
 // recordRun appends a completed job's ledger record. Best-effort: a
 // read-only ledger (lease lost to another process) or an append error
 // is logged, never fatal to the job.
-func (s *Server) recordRun(j *Job) {
+func (s *Server) recordRun(j *Job, o outcome) {
 	if s.ledger == nil {
 		return
 	}
 	j.mu.Lock()
 	cs := j.coreStats
-	stats := j.stats
 	j.mu.Unlock()
+	stats := o.stats
 	if cs == nil || stats == nil {
 		return // failed/canceled before the engine produced a report
 	}
@@ -578,14 +584,18 @@ func (s *Server) Cancel(id string) (*JobStatus, bool) {
 	return j.status(), true
 }
 
-// finishJob records a terminal job for retention accounting, appends
-// its ledger record, and evicts the oldest terminal jobs past the cap.
+// finishJob makes a job's terminal outcome durable — journal record,
+// aggregate profile, ledger record — then evicts the oldest terminal
+// jobs past the retention cap and publishes the outcome last, so every
+// observer that sees a job terminal finds it in the journal and the
+// ledger.
 func (s *Server) finishJob(j *Job) {
-	s.journalFinished(j)
-	s.m.completed(j.statusString())
+	o := j.outcome()
+	s.journalFinished(j, o)
+	s.m.completed(o.state)
 	s.aggProf.Absorb(j.prof)
-	s.recordRun(j)
-	s.logFinished(j)
+	s.recordRun(j, o)
+	s.logFinished(j, o)
 	s.mu.Lock()
 	s.doneIDs = append(s.doneIDs, j.id)
 	for len(s.doneIDs) > s.cfg.RetainDone {
@@ -593,25 +603,23 @@ func (s *Server) finishJob(j *Job) {
 		s.doneIDs = s.doneIDs[1:]
 	}
 	s.mu.Unlock()
+	j.publish()
 }
 
 // logFinished emits the terminal job-lifecycle log line: outcome, error
 // code when the job failed, and the headline run stats when it ran.
-func (s *Server) logFinished(j *Job) {
-	j.mu.Lock()
-	attrs := []any{"job", j.id, "status", j.state}
-	if j.err != nil {
-		attrs = append(attrs, "code", j.err.Code, "err", j.err.Msg)
+func (s *Server) logFinished(j *Job, o outcome) {
+	attrs := []any{"job", j.id, "status", o.state}
+	if o.err != nil {
+		attrs = append(attrs, "code", o.err.Code, "err", o.err.Msg)
 	}
-	if j.stats != nil {
+	if o.stats != nil {
 		attrs = append(attrs,
-			"paths", j.stats.Paths, "bugs", j.stats.Bugs,
-			"instructions", j.stats.Instructions,
-			"solver_queries", j.stats.SolverQs, "wall_ms", j.stats.WallMS)
+			"paths", o.stats.Paths, "bugs", o.stats.Bugs,
+			"instructions", o.stats.Instructions,
+			"solver_queries", o.stats.SolverQs, "wall_ms", o.stats.WallMS)
 	}
-	failed := j.state == StateFailed
-	j.mu.Unlock()
-	if failed {
+	if o.state == StateFailed {
 		s.log.Warn("job finished", attrs...)
 		return
 	}

@@ -45,6 +45,7 @@ func TestResultsStreamIncremental(t *testing.T) {
 		}
 		j.emit(Event{Type: "path", Path: &PathEvent{ID: 2}})
 		j.finish(StateDone, nil, &JobStats{Paths: 2})
+		j.publish()
 	}()
 
 	resp, err := hs.Client().Get(hs.URL + "/v1/jobs/j-slow/results?wait=1")
@@ -114,6 +115,7 @@ func TestResultsStreamCanceledWhileQueued(t *testing.T) {
 	if !j.canceledEarly() {
 		t.Fatal("job did not cancel while queued")
 	}
+	j.publish()
 	select {
 	case err := <-done:
 		if err != nil {
