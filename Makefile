@@ -12,7 +12,7 @@
 # smoke of the durable job journal and exploration checkpoints
 # (docs/service.md).
 
-.PHONY: check build test vet race bench fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
+.PHONY: check build test vet race bench loc fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
 
 check: build test vet race fuzz-smoke difftest-smoke obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
 
@@ -30,6 +30,20 @@ race:
 
 bench:
 	go test -bench=. -benchmem
+
+# Production line count per package (ROADMAP aim 2): every line of the
+# non-test Go files under internal/ and cmd/, skipping generated files
+# ("// Code generated ... DO NOT EDIT."). Diff two trees' output for a
+# change's net production LoC.
+loc:
+	@go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... ./cmd/... | \
+	while read pkg files; do \
+		n=0; \
+		for f in $$files; do \
+			grep -q '^// Code generated .* DO NOT EDIT\.$$' $$f || n=$$((n + $$(wc -l < $$f))); \
+		done; \
+		printf '%-28s %7d\n' "$$pkg" $$n; \
+	done | awk '{ print; t += $$2 } END { printf "%-28s %7d\n", "total", t }'
 
 # Coverage-guided fuzz targets, a few seconds each (go test allows one
 # -fuzz pattern per invocation).
@@ -60,9 +74,10 @@ chaos-smoke:
 	go test -race -run 'TestChaosSmoke' -count=1 ./internal/difftest
 
 # Compiled-vs-interpreted smoke (docs/compile.md): a fixed-budget run of
-# the oracle's compile layer over every embedded ADL — concrete machine,
-# engine replay and full exploration must agree exactly between compiled
-# and interpreted execution, including one run under chaos injection.
+# the oracle's compile layer over every embedded ADL — the compiled
+# concrete machine, engine replay and full exploration must each agree
+# exactly with the interpreted concrete machine, including one run under
+# chaos injection.
 compile-smoke:
 	go test -run 'TestCompileSmoke' -count=1 ./internal/difftest
 

@@ -236,7 +236,7 @@ func BenchmarkFig4SolverScaling(b *testing.B) {
 }
 
 // BenchmarkAblations quantifies the design decisions DESIGN.md §5 calls
-// out: expression simplification and the translation cache.
+// out: expression simplification and state merging.
 func BenchmarkAblations(b *testing.B) {
 	src := harness.BranchLadder("tiny32", 6)
 	p := mustAssemble(b, "tiny32", src)
@@ -247,7 +247,6 @@ func BenchmarkAblations(b *testing.B) {
 	}{
 		{"full", core.Options{InputBytes: 6, MaxPaths: 1 << 8}},
 		{"no-simplify", core.Options{InputBytes: 6, MaxPaths: 1 << 8, NoSimplify: true}},
-		{"no-xlate-cache", core.Options{InputBytes: 6, MaxPaths: 1 << 8, NoTranslationCache: true}},
 		{"merge-states", core.Options{InputBytes: 6, MaxPaths: 1 << 8, MergeStates: true}},
 	}
 	for _, cfg := range configs {

@@ -5,16 +5,15 @@
 // Usage:
 //
 //	symex [-inputs N] [-steps N] [-paths N] [-strategy s] [-workers N] [-paths-detail]
-//	      [-solver-deadline 2s] [-state-budget N] [-no-compile]
+//	      [-solver-deadline 2s] [-state-budget N]
 //	      [-cover] [-cover-out cover.json] [-obs-addr :8089] [-trace-out trace.json]
 //	      [-profile] [-profile-out prof.pb.gz] [-profile-json prof.json]
 //	      [-ledger DIR] [-ledger-gate] [-ledger-fake-slowdown D]
 //	      <image.rimg>
 //
-// Execution runs through the semantics compiler and superblock cache by
-// default (docs/compile.md); -no-compile is the interpretation ablation.
-// The compile/superblock summary goes to stderr with the other
-// diagnostics.
+// Execution runs through the semantics compiler and superblock cache
+// (docs/compile.md); the compile/superblock summary goes to stderr with
+// the other diagnostics.
 //
 // The per-path summary goes to stdout; worker and cache statistics go to
 // stderr so stdout stays pipeable. -obs-addr serves live Prometheus
@@ -78,7 +77,6 @@ func main() {
 	seed := flag.String("seed", "", "seed input for -concolic")
 	workers := flag.Int("workers", 1, "parallel exploration workers (0 = all CPUs)")
 	noCache := flag.Bool("no-query-cache", false, "disable the shared solver-query cache")
-	noCompile := flag.Bool("no-compile", false, "disable the semantics compiler and superblocks (docs/compile.md); interpret every step")
 	solverDeadline := flag.Duration("solver-deadline", 0, "wall-clock budget per solver query; expiry over-approximates (docs/robustness.md)")
 	stateBudget := flag.Int("state-budget", 0, "per-state symbolic term budget; oversized states are killed gracefully")
 	obsAddr := flag.String("obs-addr", "", "serve live /metrics, /coverage, expvar and pprof on this address")
@@ -304,7 +302,6 @@ func main() {
 		Strategy:       strat,
 		Workers:        *workers,
 		NoQueryCache:   *noCache,
-		NoCompile:      *noCompile,
 		SolverDeadline: *solverDeadline,
 		MaxStateTerms:  *stateBudget,
 		Obs:            o,

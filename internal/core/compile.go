@@ -1,13 +1,11 @@
 // Compiled symbolic execution (docs/compile.md).
 //
-// The interpreted step pays, per instruction: a decode (amortized by the
-// translation cache), a disassembly string build, and an AST walk of the
-// RTL semantics with per-node type switches. All of it is per-address
-// constant while the instruction bytes come from the unmodified image,
-// so the engine keeps a shared per-address cache of compiled entries —
-// decoded instruction, rtl.Compiled closure chain, disassembly and
-// fall-through continuation — and, above it, superblocks: maximal runs
-// of straightline entries (no pc write, no control event) executed
+// Every engine step runs through execEntry. An entry resolves, once per
+// address, everything the step would otherwise recompute per execution:
+// the decoded instruction, its rtl.Compiled closure chain, disassembly
+// and fall-through continuation. The engine keeps a shared per-address
+// cache of entries and, above it, superblocks: maximal runs of
+// straightline entries (no pc write, no control event) executed
 // back-to-back inside one step call.
 //
 // The cache is shared by every worker of a parallel run: compiled
@@ -15,12 +13,14 @@
 // immediates), never a builder, so one unit serves any worker's builder
 // at execution time.
 //
-// Self-modifying code keeps the same guard as the translation cache:
-// any state whose memory overlay touches an instruction's fetch window
-// (mem.writtenRange) takes the interpreted path for that instruction,
-// and superblock execution re-checks the window before every chained
-// entry. The shared cache itself is only ever populated from unmodified
-// image bytes, so it needs no invalidation.
+// Self-modifying code: a state whose memory overlay touches an
+// instruction's fetch window (mem.writtenRange) gets an uncached entry
+// decoded from its own bytes, with no compiled unit; execEntry runs that
+// one through the RTL interpreter (rtl.SymEval), because compiling a
+// unit that is used once costs several times its interpretation.
+// Superblock execution re-checks the window before every chained entry.
+// The shared cache is only ever populated from unmodified image bytes,
+// so it needs no invalidation.
 package core
 
 import (
@@ -44,7 +44,7 @@ const maxSuperblock = 64
 // otherwise recompute per execution, resolved once per address.
 type compEntry struct {
 	dec    decoder.Decoded
-	unit   *rtl.Compiled
+	unit   *rtl.Compiled // nil for a self-modified window's uncached entry
 	disasm string
 	cont   uint64 // fall-through continuation (width-truncated)
 }
@@ -76,11 +76,36 @@ type compileCache struct {
 
 func newCompileCache() *compileCache { return &compileCache{} }
 
-// compileOn reports whether this run executes through compiled units.
-// NoTranslationCache also disables compilation: the compile cache is a
-// translation cache, so the ablation must cover both.
-func (e *Engine) compileOn() bool {
-	return !e.Opts.NoCompile && !e.Opts.NoTranslationCache
+// decodeEntry fetches, decodes and disassembles the instruction at pc
+// from st's memory, without compiling it. It is the one place decode
+// work is counted and timed. The entry is returned by value so an
+// uncached one can live on the caller's stack.
+func (e *Engine) decodeEntry(st *State, pc uint64) (compEntry, error) {
+	buf, ok := st.mem.ConcreteFetch(pc, e.Arch.MaxInsnBytes())
+	if !ok {
+		return compEntry{}, fmt.Errorf("symbolic instruction bytes at %#x", pc)
+	}
+	e.report.Stats.DecodeCalls++
+	e.m.decodeCalls.Inc()
+	e.prof.CompileMiss(pc)
+	// Only the decoder call is timed: cache hits (the common case) must
+	// not pay for two clock reads per instruction.
+	var t0 time.Time
+	if e.m.on {
+		t0 = time.Now()
+	}
+	d, err := e.Dec.Decode(buf)
+	if e.m.on {
+		e.m.decodeSeconds.ObserveSince(t0)
+	}
+	if err != nil {
+		return compEntry{}, err
+	}
+	return compEntry{
+		dec:    d,
+		disasm: decoder.Disasm(d, pc),
+		cont:   bv.Trunc(pc+uint64(d.Len), e.Arch.Bits),
+	}, nil
 }
 
 // entryAt returns the compiled entry for the instruction at pc,
@@ -91,39 +116,17 @@ func (e *Engine) entryAt(st *State, pc uint64) (*compEntry, error) {
 	if ent, ok := e.compiled.units.Load(pc); ok {
 		return ent.(*compEntry), nil
 	}
-	maxLen := e.Arch.MaxInsnBytes()
-	buf, ok := st.mem.ConcreteFetch(pc, maxLen)
-	if !ok {
-		// Mirror the interpreted decode's fetch-failure message so
-		// compiled and interpreted runs fault identically.
-		return nil, fmt.Errorf("symbolic instruction bytes at %#x", pc)
-	}
-	e.report.Stats.DecodeCalls++
-	e.m.decodeCalls.Inc()
-	var t0 time.Time
-	if e.m.on {
-		t0 = time.Now()
-	}
-	d, err := e.Dec.Decode(buf)
-	if e.m.on {
-		e.m.decodeSeconds.ObserveSince(t0)
-	}
+	ent, err := e.decodeEntry(st, pc)
 	if err != nil {
 		return nil, err
 	}
-	ent := &compEntry{
-		dec:    d,
-		unit:   rtl.Compile(d.Insn, d.Ops, e.Arch.PC),
-		disasm: decoder.Disasm(d, pc),
-		cont:   bv.Trunc(pc+uint64(d.Len), e.Arch.Bits),
-	}
-	if prev, loaded := e.compiled.units.LoadOrStore(pc, ent); loaded {
+	ent.unit = rtl.Compile(ent.dec.Insn, ent.dec.Ops, e.Arch.PC)
+	if prev, loaded := e.compiled.units.LoadOrStore(pc, &ent); loaded {
 		return prev.(*compEntry), nil
 	}
 	e.compiled.unitCount.Add(1)
 	e.m.compiledUnits.Inc()
-	e.prof.CompileMiss(pc)
-	return ent, nil
+	return &ent, nil
 }
 
 // blockFor returns the superblock headed at st.PC, building and caching
@@ -170,33 +173,13 @@ func (e *Engine) blockFor(st *State) *compBlock {
 	return blk
 }
 
-// stepCompiled is the compiled replacement for the interpreted step
-// body. The caller has verified that st.PC's fetch window is clean.
-func (e *Engine) stepCompiled(st *State) ([]*State, error) {
-	// Opportunistic merging needs lockstep stepping — both branch sides
-	// live at the join pc at the same time — so MergeStates runs
-	// compiled entries one per step call and skips superblock chaining.
-	if !e.Opts.MergeStates {
-		blk := e.blockFor(st)
-		if len(blk.units) > 0 {
-			return e.runBlock(st, blk)
-		}
-	}
-	ent, err := e.entryAt(st, st.PC)
-	if err != nil {
-		st.Fault = err.Error()
-		return []*State{st.done(StatusDecode)}, nil
-	}
-	return e.execEntry(st, ent)
-}
-
 // runBlock executes the superblock's straightline prefix on st inside
 // one step call. Straightline units cannot fork, halt or branch, so the
 // state threads through unchanged; the block's terminator (and anything
 // past a self-modified window) runs via the next step call. Every
-// per-instruction obligation of the interpreted step — visit counts,
-// coverage hits, injection sites, the MaxSteps check — fires per unit,
-// so a compiled run is observationally per-instruction.
+// per-instruction obligation of execEntry — visit counts, coverage
+// hits, injection sites, the MaxSteps check — fires per unit, so a
+// block run is observationally per-instruction.
 func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 	e.compiled.blockHits.Add(1)
 	e.m.superblockHits.Inc()
@@ -231,8 +214,8 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 		}
 		st.Steps++
 		n++
-		// Translate-layer parity: the interpreter's SymEval.Exec fires
-		// the injection site and coverage hit once per instruction.
+		// Translate layer: one injection site and coverage hit per
+		// instruction, as in execEntry.
 		e.inject.Fire(faultinject.SiteTranslate)
 		e.cov.Hit(cover.LTranslate, ent.dec.Insn)
 		st.SetReg(pcReg, e.B.Const(pcReg.Width, ent.cont))
@@ -255,17 +238,18 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 		if st.Steps >= e.Opts.MaxSteps {
 			return []*State{st.done(StatusSteps)}, nil
 		}
-		// The interpreted resolvePC records the fall-through branch
-		// outcome for the sym coverage layer.
+		// resolvePC records the fall-through branch outcome for the sym
+		// coverage layer; a straightline unit always falls through.
 		e.cov.Branch(cover.LSym, ent.dec.Insn, false)
 		st.PC = ent.cont
 	}
 	return []*State{st}, nil
 }
 
-// execEntry executes one compiled instruction with full control-flow
-// handling: the interpreted step body with the decode, disassembly and
-// continuation arithmetic replaced by the cached entry.
+// execEntry executes one instruction with full control-flow handling;
+// it is the engine's only step body. An entry without a compiled unit —
+// the uncached entry step builds for a self-modified fetch window — runs
+// through the RTL interpreter instead.
 func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 	insAddr := st.PC
 	e.recordVisit(insAddr)
@@ -273,17 +257,27 @@ func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 	e.m.instructions.Inc()
 	e.cov.Hit(cover.LSym, ent.dec.Insn)
 	if e.prof != nil {
-		e.prof.Exec(insAddr, ent.unit.Mnemonic, ent.unit.Format)
+		e.prof.Exec(insAddr, ent.dec.Insn.Mnemonic, formatName(ent.dec.Insn))
 	}
 	st.Steps++
 	e.inject.Fire(faultinject.SiteTranslate)
 	e.cov.Hit(cover.LTranslate, ent.dec.Insn)
 
+	// The pc register holds the fall-through continuation; semantic reads
+	// of pc observe the instruction's own address via execCtx.ReadReg.
 	pcReg := e.Arch.PC
 	st.SetReg(pcReg, e.B.Const(pcReg.Width, ent.cont))
 
 	ec := &execCtx{e: e, st: st, insAddr: insAddr, disasm: ent.disasm}
-	events := ent.unit.ExecSym(e.B, ec, &e.scratch)
+	var events []rtl.Event
+	if ent.unit != nil {
+		events = ent.unit.ExecSym(e.B, ec, &e.scratch)
+	} else {
+		// Cov and Inject stay nil: the translate site and coverage hit
+		// already fired above.
+		ev := rtl.SymEval{B: e.B, A: e.Arch}
+		events = ev.Exec(ec, ent.dec.Insn, ent.dec.Ops)
+	}
 	if ec.err != nil {
 		return nil, ec.err
 	}

@@ -1,16 +1,21 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/arch"
 	"repro/internal/checker"
+	"repro/internal/conc"
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/harness"
+	"repro/internal/prog"
+	"repro/internal/smt"
 )
 
-// exploreWith runs one engine exploration with compiled execution
-// toggled, the standard checkers attached.
+// exploreWith runs one engine exploration with the standard checkers
+// attached.
 func exploreWith(t testing.TB, archName, src string, opts core.Options) *core.Report {
 	p := build(t, archName, src)
 	e := core.NewEngine(arch.MustLoad(archName), p, opts)
@@ -24,10 +29,73 @@ func exploreWith(t testing.TB, archName, src string, opts core.Options) *core.Re
 	return r
 }
 
+// stopStatus maps the concrete machine's stop reasons onto the path
+// statuses they correspond to.
+var stopStatus = map[conc.StopKind]core.Status{
+	conc.StopHalt:   core.StatusHalt,
+	conc.StopExit:   core.StatusExit,
+	conc.StopFault:  core.StatusFault,
+	conc.StopSteps:  core.StatusSteps,
+	conc.StopDecode: core.StatusDecode,
+}
+
+// runInterpreted runs p on the ADL's concrete machine with compiled
+// semantics off — the RTL interpreter is the reference — from the
+// engine's initial stack pointer and under its step budget.
+func runInterpreted(e *core.Engine, p *prog.Program, input []byte) (*conc.Machine, conc.Stop) {
+	m := conc.NewMachine(e.Arch)
+	m.NoCompile = true
+	m.LoadProgram(p)
+	m.Input = input
+	if e.Arch.SP != nil {
+		m.WriteReg(e.Arch.SP, e.Opts.StackBase)
+	}
+	return m, m.Run(e.Opts.MaxSteps)
+}
+
+// checkPathsInterpreted solves each explored path's condition for a
+// concrete input, runs that input through the interpreter and requires
+// the same status, end pc, step count and output.
+func checkPathsInterpreted(t *testing.T, e *core.Engine, p *prog.Program, r *core.Report) {
+	t.Helper()
+	for _, path := range r.Paths {
+		res, err := e.Solver.Check(path.PathCond...)
+		if err != nil || res != smt.Sat {
+			t.Errorf("path %d: condition not sat (%v %v)", path.ID, res, err)
+			continue
+		}
+		model := e.Solver.Model()
+		input := make([]byte, e.Opts.InputBytes)
+		for i := range input {
+			input[i] = byte(model[fmt.Sprintf("in%d", i)])
+		}
+		var want []byte
+		for _, o := range path.Output {
+			want = append(want, byte(expr.Eval(o, model)))
+		}
+		m, stop := runInterpreted(e, p, input)
+		if st, ok := stopStatus[stop.Kind]; !ok || st != path.Status {
+			t.Errorf("path %d input %v: status %v, interpreted %v", path.ID, input, path.Status, stop)
+			continue
+		}
+		// On the step limit the engine reports the last executed
+		// instruction, the machine the next fetch address.
+		if path.Status != core.StatusSteps && path.EndPC != stop.PC {
+			t.Errorf("path %d input %v: end pc %#x, interpreted %#x", path.ID, input, path.EndPC, stop.PC)
+		}
+		if path.Steps != m.Steps {
+			t.Errorf("path %d input %v: steps %d, interpreted %d", path.ID, input, path.Steps, m.Steps)
+		}
+		if string(m.Output) != string(want) {
+			t.Errorf("path %d input %v: output %x, interpreted %x", path.ID, input, want, m.Output)
+		}
+	}
+}
+
 // TestCompiledMatchesInterpretedExploration checks, across all four
-// ADLs, that compiled execution explores exactly the interpreted path
-// multiset — same statuses, end pcs, step counts, depths, bugs and
-// coverage — on branch-heavy and byte-matching programs.
+// ADLs, that every path compiled exploration reports on branch-heavy and
+// byte-matching programs is the one the RTL interpreter runs for that
+// path's input: same status, end pc, step count and output.
 func TestCompiledMatchesInterpretedExploration(t *testing.T) {
 	// tiny64 is outside the harness generators; a hand-written branch
 	// ladder over two input bytes keeps all four ADLs covered.
@@ -64,31 +132,21 @@ skip2:
 		}
 		for _, tc := range cases {
 			t.Run(archName+"/"+tc.name, func(t *testing.T) {
-				opts := core.Options{InputBytes: tc.in, MaxPaths: 5000}
-				compiled := exploreWith(t, archName, tc.src, opts)
-				opts.NoCompile = true
-				interp := exploreWith(t, archName, tc.src, opts)
-
-				if !equalStrings(pathKeys(compiled), pathKeys(interp)) {
-					t.Error("path multiset differs between compiled and interpreted runs")
+				p := build(t, archName, tc.src)
+				e := core.NewEngine(arch.MustLoad(archName), p, core.Options{InputBytes: tc.in, MaxPaths: 5000})
+				for _, c := range checker.All() {
+					e.AddChecker(c)
 				}
-				if !equalStrings(bugKeys(compiled), bugKeys(interp)) {
-					t.Errorf("bug set differs: compiled %v vs interpreted %v",
-						bugKeys(compiled), bugKeys(interp))
+				r, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if compiled.Stats.Coverage != interp.Stats.Coverage {
-					t.Errorf("coverage: compiled %d vs interpreted %d",
-						compiled.Stats.Coverage, interp.Stats.Coverage)
+				if len(r.Paths) < 2 {
+					t.Fatalf("only %d paths explored", len(r.Paths))
 				}
-				if compiled.Stats.Instructions != interp.Stats.Instructions {
-					t.Errorf("instructions: compiled %d vs interpreted %d",
-						compiled.Stats.Instructions, interp.Stats.Instructions)
-				}
-				if compiled.Stats.CompiledUnits == 0 {
-					t.Error("compiled run compiled no units")
-				}
-				if interp.Stats.CompiledUnits != 0 {
-					t.Errorf("NoCompile run compiled %d units", interp.Stats.CompiledUnits)
+				checkPathsInterpreted(t, e, p, r)
+				if r.Stats.CompiledUnits == 0 {
+					t.Error("run compiled no units")
 				}
 			})
 		}
@@ -97,7 +155,7 @@ skip2:
 
 // TestCompiledSelfModifyingCode pins the per-state cache guard: a state
 // that overwrites upcoming instruction bytes must execute the new bytes
-// (via the interpreted fallback), not a stale compiled unit. The
+// (via the uncached interpreted entry), not a stale compiled unit. The
 // program patches an already-executed instruction and loops back over
 // it; r1 ends at 99 only if the patch took effect.
 func TestCompiledSelfModifyingCode(t *testing.T) {
@@ -120,24 +178,31 @@ done:
 src:
 	addi r1, r0, 99
 `
-	opts := core.Options{MaxPaths: 10}
-	compiled := exploreWith(t, "tiny32", src, opts)
-	opts.NoCompile = true
-	interp := exploreWith(t, "tiny32", src, opts)
-	for _, r := range []*core.Report{compiled, interp} {
-		if len(r.Paths) != 1 || r.Paths[0].Status != core.StatusHalt {
-			t.Fatalf("paths %v, want one halted path", r.Paths)
-		}
+	a := arch.MustLoad("tiny32")
+	p := build(t, "tiny32", src)
+	e := core.NewEngine(a, p, core.Options{MaxPaths: 10, CaptureEndState: true})
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !equalStrings(pathKeys(compiled), pathKeys(interp)) {
-		t.Errorf("self-modifying path differs: compiled %v vs interpreted %v",
-			pathKeys(compiled), pathKeys(interp))
+	if len(r.Paths) != 1 || r.Paths[0].Status != core.StatusHalt {
+		t.Fatalf("paths %v, want one halted path", r.Paths)
 	}
-	// Equal step counts prove both runs executed the patched (not the
-	// stale) loop exit on the second pass.
-	if compiled.Paths[0].Steps != interp.Paths[0].Steps {
-		t.Errorf("steps: compiled %d vs interpreted %d",
-			compiled.Paths[0].Steps, interp.Paths[0].Steps)
+	path := r.Paths[0]
+	if r1 := path.End.EvalRegs(expr.Env{})[a.Reg("r1").Num]; r1 != 99 {
+		t.Errorf("r1 = %d, want 99 (the patched instruction did not run)", r1)
+	}
+	// Equal step counts prove the engine executed the patched (not the
+	// stale) loop exit on the second pass, as the interpreter does.
+	m, stop := runInterpreted(e, p, nil)
+	if stop.Kind != conc.StopHalt || path.Steps != m.Steps {
+		t.Errorf("steps %d, interpreted %d (%v)", path.Steps, m.Steps, stop)
+	}
+	// The patched address is decoded again from the state's own bytes,
+	// never compiled into the shared cache.
+	if r.Stats.DecodeCalls <= r.Stats.CompiledUnits {
+		t.Errorf("decodes %d, compiled units %d: the self-modified window was not decoded uncached",
+			r.Stats.DecodeCalls, r.Stats.CompiledUnits)
 	}
 }
 
@@ -157,17 +222,16 @@ func TestCompiledSuperblocksUsed(t *testing.T) {
 
 // TestCompiledParallelDeterminism checks that workers 1, 2 and 4 — all
 // sharing one compile cache — explore the same path set as the serial
-// interpreted run. Under -race this doubles as the data-race workout
-// for the shared cache.
+// run. Under -race this doubles as the data-race workout for the shared
+// cache.
 func TestCompiledParallelDeterminism(t *testing.T) {
 	src := harness.BranchLadder("tiny32", 7)
-	ref := exploreWith(t, "tiny32", src,
-		core.Options{InputBytes: 7, MaxPaths: 5000, NoCompile: true})
+	ref := exploreWith(t, "tiny32", src, core.Options{InputBytes: 7, MaxPaths: 5000})
 	for _, workers := range []int{1, 2, 4} {
 		r := exploreWith(t, "tiny32", src,
 			core.Options{InputBytes: 7, MaxPaths: 5000, Workers: workers})
 		if !equalStrings(pathKeys(r), pathKeys(ref)) {
-			t.Errorf("workers=%d: path multiset differs from interpreted serial run", workers)
+			t.Errorf("workers=%d: path multiset differs from the serial run", workers)
 		}
 		if r.Stats.CompiledUnits == 0 {
 			t.Errorf("workers=%d: no compiled units", workers)
@@ -175,20 +239,38 @@ func TestCompiledParallelDeterminism(t *testing.T) {
 	}
 }
 
-// BenchmarkSymCompiledVsInterp tracks the engine-level step-path
-// speedup on a concrete-heavy single-path workload (the symbolic
-// analogue of the emulator Table 3 runs).
-func BenchmarkSymCompiledVsInterp(b *testing.B) {
-	src := harness.Throughput("checksum", 120)
-	run := func(b *testing.B, noCompile bool) {
-		var insns int64
-		for b.Loop() {
-			r := exploreWith(b, "tiny32", src,
-				core.Options{MaxPaths: 10, MaxSteps: 1 << 20, NoCompile: noCompile})
-			insns = r.Stats.Instructions
+// BenchmarkSelfModifyingCode measures the self-modified-window
+// fallback: a loop that re-patches its own body every iteration, so one
+// instruction in four runs from an uncached, interpreted entry.
+func BenchmarkSelfModifyingCode(b *testing.B) {
+	src := `
+_start:
+	li r3, src
+	lw r2, 0(r3)
+	li r4, patch
+	li r5, 2000
+loop:
+	sw r2, 0(r4)
+patch:
+	addi r1, r1, 1
+	addi r5, r5, -1
+	bne r5, r0, loop
+	halt
+src:
+	addi r1, r1, 2
+`
+	a := arch.MustLoad("tiny32")
+	p := build(b, "tiny32", src)
+	var insns int64
+	for b.Loop() {
+		r, err := core.NewEngine(a, p, core.Options{MaxPaths: 1, MaxSteps: 1 << 20}).Run()
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(insns)*float64(b.N)/b.Elapsed().Seconds(), "insns/s")
+		if len(r.Paths) != 1 || r.Paths[0].Status != core.StatusHalt {
+			b.Fatalf("paths %v, want one halted path", r.Paths)
+		}
+		insns = r.Stats.Instructions
 	}
-	b.Run("compiled", func(b *testing.B) { run(b, false) })
-	b.Run("interp", func(b *testing.B) { run(b, true) })
+	b.ReportMetric(float64(insns)*float64(b.N)/b.Elapsed().Seconds(), "insns/s")
 }

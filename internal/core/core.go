@@ -73,16 +73,6 @@ type Options struct {
 	// MaxSolverConflicts bounds each SMT query (0 = unlimited).
 	MaxSolverConflicts int64
 
-	// NoTranslationCache disables the per-address decode cache (ablation).
-	// It also disables compiled execution: the compile cache is itself a
-	// translation cache, so the ablation must cover both.
-	NoTranslationCache bool
-
-	// NoCompile disables compiled execution (ablation): every
-	// instruction runs through the RTL interpreter instead of the
-	// translate-time closure chains and superblocks of docs/compile.md.
-	NoCompile bool
-
 	// NoSimplify disables expression simplification (ablation).
 	NoSimplify bool
 
@@ -319,8 +309,9 @@ type Stats struct {
 	DecodeCalls  int64 // actual decoder invocations (cache misses)
 	Merges       int64 // state merges performed (MergeStates)
 
-	// Compiled-execution counters (docs/compile.md). Shared across
-	// workers in parallel runs; zero under the NoCompile ablation.
+	// Compiled-execution counters (docs/compile.md), shared across
+	// workers in parallel runs. Self-modified fetch windows are decoded
+	// but never compiled, so they count in DecodeCalls only.
 	CompiledUnits   int64 // instructions compiled to closure chains
 	Superblocks     int64 // superblocks built (non-empty)
 	SuperblockHits  int64 // superblock executions
@@ -395,7 +386,6 @@ type Engine struct {
 	// Layout lists the valid memory regions for out-of-bounds checking.
 	Layout []Region
 
-	xlate  map[uint64]decoder.Decoded
 	visits map[uint64]int64 // per-pc execution counts (coverage strategy)
 	rng    *rand.Rand
 
@@ -581,7 +571,6 @@ func NewEngine(a *adl.Arch, p *prog.Program, opts Options) *Engine {
 		Dec:      decoder.New(a),
 		Prog:     p,
 		Opts:     opts,
-		xlate:    make(map[uint64]decoder.Decoded),
 		visits:   make(map[uint64]int64),
 		rng:      rand.New(rand.NewSource(opts.Seed + 1)),
 		bugSeen:  newBugDedup(),

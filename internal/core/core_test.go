@@ -378,7 +378,10 @@ _start:
 	}
 }
 
-func TestTranslationCacheCountsDecodes(t *testing.T) {
+// TestLoopDecodesEachAddressOnce: the shared compile cache decodes and
+// compiles every executed address exactly once, however often the loop
+// body runs.
+func TestLoopDecodesEachAddressOnce(t *testing.T) {
 	src := `
 _start:
 	li r1, 10
@@ -387,14 +390,14 @@ loop:
 	bne r1, r0, loop
 	halt
 `
-	_, r1 := analyze(t, "tiny32", src, core.Options{}, false)
-	_, r2 := analyze(t, "tiny32", src, core.Options{NoTranslationCache: true}, false)
-	if r1.Stats.DecodeCalls >= r2.Stats.DecodeCalls {
-		t.Errorf("cache did not reduce decodes: with=%d without=%d",
-			r1.Stats.DecodeCalls, r2.Stats.DecodeCalls)
+	_, r := analyze(t, "tiny32", src, core.Options{}, false)
+	st := r.Stats
+	if st.DecodeCalls != st.CompiledUnits || st.DecodeCalls != int64(st.Coverage) {
+		t.Errorf("decodes %d, compiled units %d, distinct addresses %d: want all equal",
+			st.DecodeCalls, st.CompiledUnits, st.Coverage)
 	}
-	if r1.Stats.Instructions != r2.Stats.Instructions {
-		t.Errorf("instruction counts differ: %d vs %d", r1.Stats.Instructions, r2.Stats.Instructions)
+	if st.Instructions <= st.DecodeCalls {
+		t.Errorf("instructions %d <= decodes %d: the loop body did not repeat", st.Instructions, st.DecodeCalls)
 	}
 }
 

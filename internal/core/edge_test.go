@@ -37,7 +37,7 @@ weird:
 
 func TestSelfModifyingCode(t *testing.T) {
 	// The program overwrites an upcoming instruction with "li r5, 1"
-	// before reaching it; the translation cache must not serve the stale
+	// before reaching it; the compile cache must not serve the stale
 	// decode.
 	_, r := analyze(t, "tiny32", `
 _start:

@@ -227,7 +227,7 @@ func (e *Engine) visitCount(pc uint64) int64 {
 }
 
 // recordVisit bumps the per-pc execution count. It is called exactly
-// once per executed instruction (interpreted or compiled), so it also
+// once per executed instruction (in a superblock or not), so it also
 // feeds the live-progress instruction and distinct-address counters.
 func (e *Engine) recordVisit(pc uint64) {
 	if e.shVisits != nil {
@@ -258,43 +258,6 @@ func formatName(ins *adl.Insn) string {
 	return ins.Format.Name
 }
 
-// decode fetches and decodes the instruction at the state's pc, going
-// through the per-address translation cache when the bytes come from the
-// unmodified image.
-func (e *Engine) decode(st *State) (decoder.Decoded, error) {
-	maxLen := e.Arch.MaxInsnBytes()
-	cacheable := !st.mem.writtenRange(st.PC, maxLen)
-	if !e.Opts.NoTranslationCache && cacheable {
-		if d, ok := e.xlate[st.PC]; ok {
-			return d, nil
-		}
-	}
-	buf, ok := st.mem.ConcreteFetch(st.PC, maxLen)
-	if !ok {
-		return decoder.Decoded{}, fmt.Errorf("symbolic instruction bytes at %#x", st.PC)
-	}
-	e.report.Stats.DecodeCalls++
-	e.m.decodeCalls.Inc()
-	e.prof.CompileMiss(st.PC)
-	// Only the actual decoder call is timed: translation-cache hits (the
-	// common case) must not pay for two clock reads per instruction.
-	var t0 time.Time
-	if e.m.on {
-		t0 = time.Now()
-	}
-	d, err := e.Dec.Decode(buf)
-	if e.m.on {
-		e.m.decodeSeconds.ObserveSince(t0)
-	}
-	if err != nil {
-		return decoder.Decoded{}, err
-	}
-	if !e.Opts.NoTranslationCache && cacheable {
-		e.xlate[st.PC] = d
-	}
-	return d, nil
-}
-
 // step executes one instruction of st and returns the successor states
 // (one or more on forks; completed states have Done set).
 func (e *Engine) step(st *State) ([]*State, error) {
@@ -309,68 +272,33 @@ func (e *Engine) step(st *State) ([]*State, error) {
 			defer e.m.stepSeconds.ObserveSince(t0)
 		}
 	}
-	// Compiled execution (docs/compile.md): when the instruction bytes
-	// come from the unmodified image, run through the shared cache of
-	// closure-compiled units and superblocks. States whose memory
-	// overlay touches the fetch window — self-modifying code — and the
-	// NoCompile/NoTranslationCache ablations take the interpreter below.
-	if e.compileOn() && !st.mem.writtenRange(st.PC, e.Arch.MaxInsnBytes()) {
-		return e.stepCompiled(st)
+	// Compiled execution (docs/compile.md): instruction bytes from the
+	// unmodified image run through the shared cache of compiled units
+	// and superblocks. A state whose memory overlay touches the fetch
+	// window (self-modifying code) gets an uncached entry of its own
+	// bytes instead.
+	var ent *compEntry
+	var err error
+	if st.mem.writtenRange(st.PC, e.Arch.MaxInsnBytes()) {
+		var own compEntry
+		own, err = e.decodeEntry(st, st.PC)
+		ent = &own
+	} else {
+		// Opportunistic merging needs lockstep stepping — both branch
+		// sides live at the join pc at the same time — so MergeStates
+		// runs one entry per step call and skips superblock chaining.
+		if !e.Opts.MergeStates {
+			if blk := e.blockFor(st); len(blk.units) > 0 {
+				return e.runBlock(st, blk)
+			}
+		}
+		ent, err = e.entryAt(st, st.PC)
 	}
-
-	dec, err := e.decode(st)
 	if err != nil {
 		st.Fault = err.Error()
 		return []*State{st.done(StatusDecode)}, nil
 	}
-	e.recordVisit(st.PC)
-	e.report.Stats.Instructions++
-	e.m.instructions.Inc()
-	e.cov.Hit(cover.LSym, dec.Insn)
-	if e.prof != nil {
-		e.prof.Exec(st.PC, dec.Insn.Mnemonic, formatName(dec.Insn))
-	}
-	st.Steps++
-
-	insAddr := st.PC
-	disasm := decoder.Disasm(dec, insAddr)
-
-	// The pc register holds the fall-through continuation; semantic reads
-	// of pc observe the instruction's own address via execCtx.ReadReg.
-	pcReg := e.Arch.PC
-	cont := bv.Trunc(insAddr+uint64(dec.Len), e.Arch.Bits)
-	st.SetReg(pcReg, e.B.Const(pcReg.Width, cont))
-
-	ec := &execCtx{e: e, st: st, insAddr: insAddr, disasm: disasm}
-	ev := &rtl.SymEval{B: e.B, A: e.Arch, Cov: e.cov, Inject: e.inject}
-	events := ev.Exec(ec, dec.Insn, dec.Ops)
-	if ec.err != nil {
-		return nil, ec.err
-	}
-	if ec.infeasible {
-		// A memory concretization found the path condition unsatisfiable.
-		return []*State{st.done(StatusKilled)}, nil
-	}
-
-	// Process control events in order; states may split per event.
-	done, continuing, err := e.handleEvents(st, events, insAddr, disasm)
-	if err != nil {
-		return nil, err
-	}
-
-	out := done
-	for _, c := range continuing {
-		if c.Steps >= e.Opts.MaxSteps {
-			out = append(out, c.done(StatusSteps))
-			continue
-		}
-		next, err := e.resolvePC(c, dec, insAddr, disasm)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, next...)
-	}
-	return out, nil
+	return e.execEntry(st, ent)
 }
 
 // handleEvents applies trap/halt/fault events in order, splitting states

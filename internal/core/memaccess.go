@@ -162,7 +162,7 @@ func (c *execCtx) concretize(addr *expr.Expr, guard *expr.Expr) (uint64, bool) {
 }
 
 // writtenRange reports whether any byte of [addr, addr+n) has an overlay
-// entry (used to keep the translation cache sound under self-modifying
+// entry (used to keep the compile cache sound under self-modifying
 // code).
 func (m *Memory) writtenRange(addr uint64, n int) bool {
 	if m.n == 0 {

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/decoder"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -323,8 +322,8 @@ func (pr *parRun) fail(err error) {
 	pr.front.close()
 }
 
-// workerEngine builds the sub-Engine for worker i: a private Builder,
-// Solver and decode cache over the shared read-only machinery.
+// workerEngine builds the sub-Engine for worker i: a private Builder
+// and Solver over the shared read-only machinery.
 func (e *Engine) workerEngine(i int, vt *visitTable, pr *parRun) *Engine {
 	b := expr.NewBuilder()
 	b.Simplify = !e.Opts.NoSimplify
@@ -337,7 +336,6 @@ func (e *Engine) workerEngine(i int, vt *visitTable, pr *parRun) *Engine {
 		Opts:       e.Opts,
 		checkers:   e.checkers,
 		Layout:     e.Layout,
-		xlate:      make(map[uint64]decoder.Decoded),
 		visits:     make(map[uint64]int64),
 		compiled:   e.compiled,
 		rng:        rand.New(rand.NewSource(e.Opts.Seed + 0x9e37 + int64(i))),

@@ -1,50 +1,29 @@
-// The compile layer (docs/compile.md): compiled execution must be
-// observably identical to interpretation. Three sub-checks per unit:
+// The compile layer (docs/compile.md): the RTL interpreter is the
+// reference for compiled execution. Three sub-checks per unit:
 //
 //  1. the concrete machine, run compiled (superblocks on) and with
 //     NoCompile, must end in identical full machine state;
-//  2. the engine's concrete replay, compiled and with NoCompile, must
-//     end in identical replayed state;
-//  3. full symbolic exploration, compiled and with NoCompile, must
-//     produce the same path multiset (status, fault, end pc, steps,
-//     depth, path-condition and output expression hashes) and the same
-//     instruction count.
+//  2. the engine's concrete replay must end in the state of the
+//     interpreted (NoCompile) concrete machine, through compareEnd;
+//  3. full symbolic exploration must cover each sampled input with
+//     exactly one path whose evaluated end state matches the
+//     interpreted concrete machine, through compareEnd.
 //
-// In chaos mode the two sides of each pair draw different injection
-// schedules (the compiled path fires fewer decode sites, for example),
-// so any divergence recorded while the injector fired since the unit's
-// checkpoint is dropped as a skip — exactly the contract of every other
-// layer (see chaos.go).
+// In chaos mode the two sides of each comparison draw different
+// injection schedules (the compiled path fires fewer decode sites, for
+// example), so any divergence recorded while the injector fired since
+// the unit's checkpoint is dropped as a skip — exactly the contract of
+// every other layer (see chaos.go).
 package difftest
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/conc"
 	"repro/internal/core"
-	"repro/internal/expr"
-	"repro/internal/prog"
 )
-
-// runConcMode is runConc with an explicit compile switch.
-func (g *archGen) runConcMode(p *prog.Program, input []byte, stackBase uint64, maxSteps int64, met *conc.Metrics, noCompile bool) (*conc.Machine, conc.Stop) {
-	m := conc.NewMachine(g.ref)
-	m.NoCompile = noCompile
-	m.Metrics = met
-	m.Inject = g.inj
-	m.Dec.Inject = g.inj
-	m.SetCover(g.rcov)
-	m.LoadProgram(p)
-	m.Input = append([]byte(nil), input...)
-	if g.ref.SP != nil {
-		m.WriteReg(g.ref.SP, stackBase)
-	}
-	stop := m.Run(maxSteps)
-	return m, stop
-}
 
 // diffConcPair diffs two concrete machines of the same architecture
 // field by field, returning "" on agreement. Unlike compareEnd there is
@@ -93,54 +72,9 @@ func (g *archGen) diffConcPair(cm *conc.Machine, cstop conc.Stop, im *conc.Machi
 	return strings.Join(diffs, "; ")
 }
 
-// diffReplayPair diffs two engine replays (compiled vs interpreted).
-func diffReplayPair(g *archGen, cr, ir *core.Replay) string {
-	var diffs []string
-	add := func(format string, args ...interface{}) {
-		diffs = append(diffs, fmt.Sprintf(format, args...))
-	}
-	if cr.Status != ir.Status || cr.Fault != ir.Fault {
-		add("status: compiled %v (fault %q), interpreted %v (fault %q)", cr.Status, cr.Fault, ir.Status, ir.Fault)
-	}
-	if cr.EndPC != ir.EndPC {
-		add("end pc: compiled %#x, interpreted %#x", cr.EndPC, ir.EndPC)
-	}
-	if cr.Steps != ir.Steps {
-		add("steps: compiled %d, interpreted %d", cr.Steps, ir.Steps)
-	}
-	if string(cr.Output) != string(ir.Output) {
-		add("output: compiled %x, interpreted %x", cr.Output, ir.Output)
-	}
-	for i := range cr.Regs {
-		if cr.Regs[i] != ir.Regs[i] {
-			add("reg %s: compiled %#x, interpreted %#x", g.subj.Regs[i].Name, cr.Regs[i], ir.Regs[i])
-		}
-	}
-	seen := make(map[uint64]bool, len(cr.Mem)+len(ir.Mem))
-	for a := range cr.Mem {
-		seen[a] = true
-	}
-	for a := range ir.Mem {
-		seen[a] = true
-	}
-	nmem := 0
-	for a := range seen {
-		if cr.Mem[a] != ir.Mem[a] {
-			if nmem < 8 {
-				add("mem[%#x]: compiled %#x, interpreted %#x", a, cr.Mem[a], ir.Mem[a])
-			}
-			nmem++
-		}
-	}
-	if nmem > 8 {
-		add("... %d more memory mismatches", nmem-8)
-	}
-	return strings.Join(diffs, "; ")
-}
-
 // compileCompare generates one program and diffs compiled against
-// interpreted execution in the concrete machine and in engine replay,
-// on several random inputs.
+// interpreted execution in the concrete machine, and engine replay
+// against the interpreted machine, on several random inputs.
 func (r *run) compileCompare(g *archGen, subSeed int64) {
 	rg := rand.New(rand.NewSource(subSeed))
 	const k = 3
@@ -156,13 +90,7 @@ func (r *run) compileCompare(g *archGen, subSeed int64) {
 	// One engine just for the default stack base, so the concrete pair
 	// starts from the same state the replay pair does.
 	stackBase := core.NewEngine(g.subj, p, core.Options{InputBytes: k}).Opts.StackBase
-	inputs := make([][]byte, 3)
-	for i := range inputs {
-		inputs[i] = make([]byte, k)
-		rg.Read(inputs[i])
-	}
-
-	for _, in := range inputs {
+	for _, in := range sampleInputs(rg, 3, k) {
 		// Concrete machine: compiled (superblocks on) vs NoCompile.
 		r.res.Checks[LayerCompile]++
 		r.checkpoint()
@@ -176,57 +104,26 @@ func (r *run) compileCompare(g *archGen, subSeed int64) {
 			return
 		}
 
-		// Engine concrete replay: compiled vs NoCompile.
+		// Engine concrete replay vs the interpreted machine.
 		r.res.Checks[LayerCompile]++
 		r.checkpoint()
-		replay := func(noCompile bool) (*core.Replay, error) {
-			eng := core.NewEngine(g.subj, p, core.Options{
-				InputBytes: len(in), MaxSteps: r.opts.MaxSteps, NoCompile: noCompile,
-				Obs: r.engineObs(), Cover: g.coll, Inject: g.inj,
-			})
-			return eng.ReplayConcrete(in)
+		d, skip := g.replayOne(p, in, r.opts.MaxSteps, r.engineObs(), r.concMet, true)
+		if skip {
+			r.res.Skipped[LayerCompile]++
+			continue
 		}
-		cr, cerr := replay(false)
-		ir, ierr := replay(true)
-		switch {
-		case (cerr == nil) != (ierr == nil):
+		if d != "" {
 			r.diverged(Divergence{
 				Layer: LayerCompile, Arch: g.name, Seed: subSeed,
-				Detail:  fmt.Sprintf("replay error only on one side: compiled %v, interpreted %v", cerr, ierr),
-				Program: src, Input: in,
+				Detail: "replay vs interpreted conc: " + d, Program: src, Input: in,
 			})
 			return
-		case cerr != nil:
-			r.res.Skipped[LayerCompile]++ // both replays refused (symbolic pc etc.)
-		default:
-			if d := diffReplayPair(g, cr, ir); d != "" {
-				r.diverged(Divergence{
-					Layer: LayerCompile, Arch: g.name, Seed: subSeed,
-					Detail: "replay compiled vs interpreted: " + d, Program: src, Input: in,
-				})
-				return
-			}
 		}
 	}
-}
-
-// compilePathKey is the comparison key of one explored path: everything
-// observable about it short of the captured end state, with the path
-// condition and output expressions folded in by structural hash.
-func compilePathKey(p *core.PathResult) string {
-	var h uint64
-	for _, c := range p.PathCond {
-		h = expr.MixHash(h, expr.Hash(c))
-	}
-	for _, o := range p.Output {
-		h = expr.MixHash(h, expr.Hash(o))
-	}
-	return fmt.Sprintf("%v|%q|%#x|%d|%d|%#x", p.Status, p.Fault, p.EndPC, p.Steps, p.Depth, h)
 }
 
 // compileExplore runs one branching program through full exploration
-// twice — compiled and NoCompile — and requires identical path multisets
-// and instruction counts.
+// and matches sampled inputs' paths against the interpreted machine.
 func (r *run) compileExplore(g *archGen, subSeed int64) {
 	rg := rand.New(rand.NewSource(subSeed))
 	const k = 2
@@ -239,59 +136,6 @@ func (r *run) compileExplore(g *archGen, subSeed int64) {
 	if err != nil {
 		return
 	}
-	r.res.Checks[LayerCompile]++
 	r.checkpoint()
-	explore := func(noCompile bool) (*core.Report, error) {
-		eng := core.NewEngine(g.subj, p, core.Options{
-			InputBytes: k, MaxSteps: r.opts.MaxSteps,
-			MaxPaths: 256, MaxStates: 1024,
-			NoCompile: noCompile, Seed: subSeed,
-			Obs: r.engineObs(), Cover: g.coll, Inject: g.inj,
-		})
-		return eng.Run()
-	}
-	cr, cerr := explore(false)
-	ir, ierr := explore(true)
-	if cerr != nil || ierr != nil {
-		if (cerr == nil) != (ierr == nil) {
-			r.diverged(Divergence{
-				Layer: LayerCompile, Arch: g.name, Seed: subSeed,
-				Detail:  fmt.Sprintf("explore error only on one side: compiled %v, interpreted %v", cerr, ierr),
-				Program: src,
-			})
-		}
-		return
-	}
-	if cr.Stats.StatesKilled > 0 || ir.Stats.StatesKilled > 0 ||
-		cr.Stats.PathsDone >= 256 || ir.Stats.PathsDone >= 256 {
-		r.res.Skipped[LayerCompile]++ // budget truncation: path sets unreliable
-		return
-	}
-	ck := make([]string, len(cr.Paths))
-	for i := range cr.Paths {
-		ck[i] = compilePathKey(&cr.Paths[i])
-	}
-	ik := make([]string, len(ir.Paths))
-	for i := range ir.Paths {
-		ik[i] = compilePathKey(&ir.Paths[i])
-	}
-	sort.Strings(ck)
-	sort.Strings(ik)
-	if strings.Join(ck, "\n") != strings.Join(ik, "\n") {
-		r.diverged(Divergence{
-			Layer: LayerCompile, Arch: g.name, Seed: subSeed,
-			Detail: fmt.Sprintf("explore path sets differ:\ncompiled:\n%s\ninterpreted:\n%s",
-				indent(strings.Join(ck, "\n"), "  "), indent(strings.Join(ik, "\n"), "  ")),
-			Program: src,
-		})
-		return
-	}
-	if cr.Stats.Instructions != ir.Stats.Instructions {
-		r.diverged(Divergence{
-			Layer: LayerCompile, Arch: g.name, Seed: subSeed,
-			Detail: fmt.Sprintf("explore instruction counts differ: compiled %d, interpreted %d",
-				cr.Stats.Instructions, ir.Stats.Instructions),
-			Program: src,
-		})
-	}
+	r.checkExplore(g, LayerCompile, subSeed, src, p, sampleInputs(rg, 4, k), 1, true)
 }

@@ -117,10 +117,12 @@ func (g *archGen) compareEnd(e engineEnd, m *conc.Machine, stop conc.Stop) strin
 	return strings.Join(diffs, "; ")
 }
 
-// runConc executes the program on the reference concrete machine with
-// the engine's stack convention.
-func (g *archGen) runConc(p *prog.Program, input []byte, stackBase uint64, maxSteps int64, met *conc.Metrics) (*conc.Machine, conc.Stop) {
+// runConcMode executes the program on the reference concrete machine
+// with the engine's stack convention; noCompile runs every instruction
+// through the RTL interpreter instead of compiled semantics.
+func (g *archGen) runConcMode(p *prog.Program, input []byte, stackBase uint64, maxSteps int64, met *conc.Metrics, noCompile bool) (*conc.Machine, conc.Stop) {
 	m := conc.NewMachine(g.ref)
+	m.NoCompile = noCompile
 	m.Metrics = met
 	m.Inject = g.inj
 	m.Dec.Inject = g.inj
@@ -134,11 +136,22 @@ func (g *archGen) runConc(p *prog.Program, input []byte, stackBase uint64, maxSt
 	return m, stop
 }
 
+// sampleInputs draws n random concrete inputs of k bytes each.
+func sampleInputs(rg *rand.Rand, n, k int) [][]byte {
+	inputs := make([][]byte, n)
+	for i := range inputs {
+		inputs[i] = make([]byte, k)
+		rg.Read(inputs[i])
+	}
+	return inputs
+}
+
 // replayOne runs one input through engine concrete replay and the
-// concrete machine. It returns the mismatch description ("" on
-// agreement) and whether the comparison was skipped (the engine refuses
-// to execute input-dependent instruction bytes — see docs/difftest.md).
-func (g *archGen) replayOne(p *prog.Program, input []byte, maxSteps int64, o *obs.Obs, met *conc.Metrics) (string, bool) {
+// concrete machine (interpreted with noCompile). It returns the
+// mismatch description ("" on agreement) and whether the comparison was
+// skipped (the engine refuses to execute input-dependent instruction
+// bytes — see docs/difftest.md).
+func (g *archGen) replayOne(p *prog.Program, input []byte, maxSteps int64, o *obs.Obs, met *conc.Metrics, noCompile bool) (string, bool) {
 	eng := core.NewEngine(g.subj, p, core.Options{InputBytes: len(input), MaxSteps: maxSteps, Obs: o, Cover: g.coll, Inject: g.inj})
 	rep, err := eng.ReplayConcrete(input)
 	if err != nil {
@@ -147,7 +160,7 @@ func (g *archGen) replayOne(p *prog.Program, input []byte, maxSteps int64, o *ob
 	if rep.Status == core.StatusDecode && strings.Contains(rep.Fault, "symbolic instruction bytes") {
 		return "", true
 	}
-	m, stop := g.runConc(p, input, eng.Opts.StackBase, maxSteps, met)
+	m, stop := g.runConcMode(p, input, eng.Opts.StackBase, maxSteps, met, noCompile)
 	e := engineEnd{
 		status: rep.Status, fault: rep.Fault, endPC: rep.EndPC, steps: rep.Steps,
 		output: rep.Output, regs: rep.Regs, mem: rep.Mem,
@@ -166,11 +179,7 @@ func (r *run) replayCompare(g *archGen, subSeed int64) {
 	if !ok {
 		return
 	}
-	inputs := make([][]byte, 3)
-	for i := range inputs {
-		inputs[i] = make([]byte, k)
-		rg.Read(inputs[i])
-	}
+	inputs := sampleInputs(rg, 3, k)
 
 	diverges := func(src string) (string, []byte) {
 		p, err := g.as.Assemble("gen.s", src)
@@ -178,7 +187,7 @@ func (r *run) replayCompare(g *archGen, subSeed int64) {
 			return "", nil
 		}
 		for _, in := range inputs {
-			if d, skip := g.replayOne(p, in, r.opts.MaxSteps, r.engineObs(), r.concMet); d != "" && !skip {
+			if d, skip := g.replayOne(p, in, r.opts.MaxSteps, r.engineObs(), r.concMet, false); d != "" && !skip {
 				return d, in
 			}
 		}
@@ -199,7 +208,7 @@ func (r *run) replayCompare(g *archGen, subSeed int64) {
 	for _, in := range inputs {
 		r.res.Checks[LayerConcSym]++
 		r.checkpoint()
-		d, skip := g.replayOne(p, in, r.opts.MaxSteps, r.engineObs(), r.concMet)
+		d, skip := g.replayOne(p, in, r.opts.MaxSteps, r.engineObs(), r.concMet, false)
 		if skip {
 			r.res.Skipped[LayerConcSym]++
 			continue
@@ -269,97 +278,104 @@ func (r *run) exploreCompare(g *archGen, subSeed int64) {
 		})
 		return
 	}
-	inputs := make([][]byte, 4)
-	for i := range inputs {
-		inputs[i] = make([]byte, k)
-		rg.Read(inputs[i])
-	}
-
+	inputs := sampleInputs(rg, 4, k)
 	for _, w := range r.opts.Workers {
 		r.checkpoint()
-		eng := core.NewEngine(g.subj, p, core.Options{
-			InputBytes:      k,
-			MaxSteps:        r.opts.MaxSteps,
-			MaxPaths:        256,
-			MaxStates:       1024,
-			Workers:         w,
-			CaptureEndState: true,
-			Seed:            subSeed,
-			Obs:             r.engineObs(),
-			Cover:           g.coll,
-			Inject:          g.inj,
-			Profile:         r.opts.Profile,
-		})
-		rep, err := eng.Run()
-		if err != nil {
-			r.res.Checks[LayerExplore]++
-			r.diverged(Divergence{
-				Layer: LayerExplore, Arch: g.name, Seed: subSeed,
-				Detail:  fmt.Sprintf("engine run (workers=%d): %v", w, err),
-				Program: src,
-			})
+		if !r.checkExplore(g, LayerExplore, subSeed, src, p, inputs, w, false) {
 			return
 		}
-		if rep.Stats.StatesKilled > 0 || rep.Stats.PathsDone >= 256 {
-			r.res.Skipped[LayerExplore]++ // budget truncation: path coverage unreliable
-			continue
+	}
+}
+
+// checkExplore runs p through full exploration on w workers with end
+// states captured, then checks that each input is covered by exactly
+// one explored path whose fully evaluated end state matches the
+// concrete machine (interpreted with noCompile). It returns false once
+// it has recorded a divergence.
+func (r *run) checkExplore(g *archGen, layer string, subSeed int64, src string, p *prog.Program, inputs [][]byte, w int, noCompile bool) bool {
+	eng := core.NewEngine(g.subj, p, core.Options{
+		InputBytes:      len(inputs[0]),
+		MaxSteps:        r.opts.MaxSteps,
+		MaxPaths:        256,
+		MaxStates:       1024,
+		Workers:         w,
+		CaptureEndState: true,
+		Seed:            subSeed,
+		Obs:             r.engineObs(),
+		Cover:           g.coll,
+		Inject:          g.inj,
+		Profile:         r.opts.Profile,
+	})
+	rep, err := eng.Run()
+	if err != nil {
+		r.res.Checks[layer]++
+		r.diverged(Divergence{
+			Layer: layer, Arch: g.name, Seed: subSeed,
+			Detail:  fmt.Sprintf("engine run (workers=%d): %v", w, err),
+			Program: src,
+		})
+		return false
+	}
+	if rep.Stats.StatesKilled > 0 || rep.Stats.PathsDone >= 256 {
+		r.res.Skipped[layer]++ // budget truncation: path coverage unreliable
+		return true
+	}
+	for _, in := range inputs {
+		r.res.Checks[layer]++
+		env := expr.Env{}
+		for i, b := range in {
+			env[fmt.Sprintf("in%d", i)] = uint64(b)
 		}
-		for _, in := range inputs {
-			r.res.Checks[LayerExplore]++
-			env := expr.Env{}
-			for i, b := range in {
-				env[fmt.Sprintf("in%d", i)] = uint64(b)
-			}
-			var match *core.PathResult
-			nmatch := 0
-			for i := range rep.Paths {
-				pr := &rep.Paths[i]
-				ok := true
-				for _, c := range pr.PathCond {
-					if !expr.EvalBool(c, env) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					match = pr
-					nmatch++
+		var match *core.PathResult
+		nmatch := 0
+		for i := range rep.Paths {
+			pr := &rep.Paths[i]
+			ok := true
+			for _, c := range pr.PathCond {
+				if !expr.EvalBool(c, env) {
+					ok = false
+					break
 				}
 			}
-			if nmatch != 1 {
-				r.diverged(Divergence{
-					Layer: LayerExplore, Arch: g.name, Seed: subSeed,
-					Detail: fmt.Sprintf("workers=%d: input covered by %d explored paths, want exactly 1 (%d paths total)",
-						w, nmatch, len(rep.Paths)),
-					Program: src, Input: in,
-				})
-				return
+			if ok {
+				match = pr
+				nmatch++
 			}
-			if match.End == nil {
-				r.diverged(Divergence{
-					Layer: LayerExplore, Arch: g.name, Seed: subSeed,
-					Detail:  fmt.Sprintf("workers=%d: CaptureEndState set but path %d has no end state", w, match.ID),
-					Program: src, Input: in,
-				})
-				return
-			}
-			var out []byte
-			for _, o := range match.Output {
-				out = append(out, byte(expr.Eval(o, env)))
-			}
-			e := engineEnd{
-				status: match.Status, fault: match.Fault, endPC: match.EndPC, steps: match.Steps,
-				output: out, regs: match.End.EvalRegs(env), mem: match.End.EvalMem(env),
-			}
-			m, stop := g.runConc(p, in, eng.Opts.StackBase, r.opts.MaxSteps, r.concMet)
-			if d := g.compareEnd(e, m, stop); d != "" {
-				r.diverged(Divergence{
-					Layer: LayerExplore, Arch: g.name, Seed: subSeed,
-					Detail:  fmt.Sprintf("workers=%d path %d: %s", w, match.ID, d),
-					Program: src, Input: in,
-				})
-				return
-			}
+		}
+		if nmatch != 1 {
+			r.diverged(Divergence{
+				Layer: layer, Arch: g.name, Seed: subSeed,
+				Detail: fmt.Sprintf("workers=%d: input covered by %d explored paths, want exactly 1 (%d paths total)",
+					w, nmatch, len(rep.Paths)),
+				Program: src, Input: in,
+			})
+			return false
+		}
+		if match.End == nil {
+			r.diverged(Divergence{
+				Layer: layer, Arch: g.name, Seed: subSeed,
+				Detail:  fmt.Sprintf("workers=%d: CaptureEndState set but path %d has no end state", w, match.ID),
+				Program: src, Input: in,
+			})
+			return false
+		}
+		var out []byte
+		for _, o := range match.Output {
+			out = append(out, byte(expr.Eval(o, env)))
+		}
+		e := engineEnd{
+			status: match.Status, fault: match.Fault, endPC: match.EndPC, steps: match.Steps,
+			output: out, regs: match.End.EvalRegs(env), mem: match.End.EvalMem(env),
+		}
+		m, stop := g.runConcMode(p, in, eng.Opts.StackBase, r.opts.MaxSteps, r.concMet, noCompile)
+		if d := g.compareEnd(e, m, stop); d != "" {
+			r.diverged(Divergence{
+				Layer: layer, Arch: g.name, Seed: subSeed,
+				Detail:  fmt.Sprintf("workers=%d path %d: %s", w, match.ID, d),
+				Program: src, Input: in,
+			})
+			return false
 		}
 	}
+	return true
 }

@@ -63,7 +63,7 @@ func (r *run) probeRound(g *archGen, subSeed int64) {
 		rg.Read(input)
 		r.res.Checks[LayerProbe]++
 		r.checkpoint()
-		d, skip := g.replayOne(p, input, probeMaxSteps, r.engineObs(), r.concMet)
+		d, skip := g.replayOne(p, input, probeMaxSteps, r.engineObs(), r.concMet, false)
 		if skip {
 			r.res.Skipped[LayerProbe]++
 			continue

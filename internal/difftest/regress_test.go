@@ -54,7 +54,7 @@ func TestDivFaultStopRegression(t *testing.T) {
 
 			// The differential check itself: engine replay and the
 			// concrete machine must agree on the whole end state.
-			d, skip := g.replayOne(p, c.input, 512, nil, nil)
+			d, skip := g.replayOne(p, c.input, 512, nil, nil, false)
 			if skip {
 				t.Fatal("comparison unexpectedly skipped")
 			}

@@ -34,7 +34,7 @@ type Site uint8
 // Instrumented sites.
 const (
 	SiteDecode    Site = iota // decoder.Decode
-	SiteTranslate             // rtl.SymEval.Exec
+	SiteTranslate             // symbolic translate, per instruction (core engine; rtl.SymEval.Exec when Inject is set)
 	SiteSymStep               // core engine, per instruction step
 	SiteConcStep              // conc.Machine.Step
 	SiteSolver                // smt.Solver.Check (before the query cache)

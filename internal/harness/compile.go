@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/conc"
-	"repro/internal/core"
 )
 
 // ---- Compile experiment: semantics compiler vs interpretation ----
@@ -16,12 +15,13 @@ import (
 // The paper's Table 3 measures the interpretation gap of the generated
 // engine against a hand-written one. The semantics compiler
 // (docs/compile.md) is the answer to that gap, so this experiment
-// re-measures the same workloads three ways on the concrete layer
-// (compiled, interpreted, hand-written baseline) and two ways on the
-// symbolic layer (compiled, interpreted). Repetitions are interleaved
-// across modes — compiled, interpreted, baseline, compiled, ... — so a
-// frequency ramp or background load skews every mode equally; each
-// mode's best rate is reported.
+// re-measures the same workloads three ways on the concrete layer:
+// compiled, interpreted and hand-written baseline. The symbolic engine
+// has no interpreted step path; its evaluator-level ablation is
+// BenchmarkCompiledVsInterp in internal/rtl. Repetitions are
+// interleaved across modes — compiled, interpreted, baseline,
+// compiled, ... — so a frequency ramp or background load skews every
+// mode equally; each mode's best rate is reported.
 
 // CompileConcRow is one concrete-layer workload measurement.
 type CompileConcRow struct {
@@ -34,19 +34,9 @@ type CompileConcRow struct {
 	VsBase       float64 // baseline / compiled (1.0 = parity, <1 = faster than baseline)
 }
 
-// CompileSymRow is one symbolic-layer workload measurement.
-type CompileSymRow struct {
-	Workload     string
-	Insns        int64
-	CompiledRate float64
-	InterpRate   float64
-	Speedup      float64 // compiled / interpreted
-}
-
 // CompileBench is the full compiled-vs-interpreted experiment.
 type CompileBench struct {
 	Conc []CompileConcRow
-	Sym  []CompileSymRow
 }
 
 // compileWorkloads are the Table 3 throughput programs, scaled up so
@@ -73,8 +63,8 @@ func timedRate(fn func() int64) (rate float64, insns int64) {
 	return rate, insns
 }
 
-// RunCompileBench measures the semantics compiler's effect on both
-// execution layers (tiny32: the only ISA with a hand-written baseline).
+// RunCompileBench measures the semantics compiler's effect on concrete
+// emulation (tiny32: the only ISA with a hand-written baseline).
 func RunCompileBench() CompileBench {
 	var out CompileBench
 	for _, wl := range compileWorkloads {
@@ -101,22 +91,10 @@ func RunCompileBench() CompileBench {
 			}
 			return m.Steps
 		}
-		runSym := func(noCompile bool) func() int64 {
-			return func() int64 {
-				e := core.NewEngine(a, p, core.Options{MaxSteps: 1 << 20, NoCompile: noCompile})
-				r, err := e.Run()
-				if err != nil {
-					panic(err)
-				}
-				return r.Stats.Instructions
-			}
-		}
 
 		// Interleave: one rep of every mode per pass.
 		var crow CompileConcRow
-		var srow CompileSymRow
 		crow.Workload = fmt.Sprintf("%s(n=%d)", wl.name, wl.n)
-		srow.Workload = crow.Workload
 		for rep := 0; rep < compileReps; rep++ {
 			r, n := timedRate(runConc(false))
 			if r > crow.CompiledRate {
@@ -129,14 +107,6 @@ func RunCompileBench() CompileBench {
 			if r, _ := timedRate(runBase); r > crow.BaseRate {
 				crow.BaseRate = r
 			}
-			r, n = timedRate(runSym(false))
-			if r > srow.CompiledRate {
-				srow.CompiledRate = r
-			}
-			srow.Insns = n
-			if r, _ := timedRate(runSym(true)); r > srow.InterpRate {
-				srow.InterpRate = r
-			}
 		}
 		if crow.InterpRate > 0 {
 			crow.Speedup = crow.CompiledRate / crow.InterpRate
@@ -144,11 +114,7 @@ func RunCompileBench() CompileBench {
 		if crow.CompiledRate > 0 {
 			crow.VsBase = crow.BaseRate / crow.CompiledRate
 		}
-		if srow.InterpRate > 0 {
-			srow.Speedup = srow.CompiledRate / srow.InterpRate
-		}
 		out.Conc = append(out.Conc, crow)
-		out.Sym = append(out.Sym, srow)
 	}
 	return out
 }
@@ -168,7 +134,7 @@ func geomean(vals []float64) float64 {
 	return math.Exp(s / float64(len(vals)))
 }
 
-// Print writes both tables plus the aggregate ratios the acceptance
+// Print writes the table plus the aggregate ratios the acceptance
 // criteria are stated in.
 func (b CompileBench) Print(w io.Writer) {
 	fmt.Fprintf(w, "Compile: concrete emulation, compiled vs interpreted vs hand-written (tiny32)\n")
@@ -183,14 +149,4 @@ func (b CompileBench) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "geomean: %.2fx over interpretation, %.2f of hand-written cost (1.0 = parity)\n",
 		geomean(concSpeed), geomean(vsBase))
-
-	fmt.Fprintf(w, "\nCompile: symbolic step path, compiled vs interpreted (tiny32, single path)\n")
-	fmt.Fprintf(w, "%-16s %8s %14s %14s %9s\n", "workload", "insns", "compiled i/s", "interp i/s", "speedup")
-	var symSpeed []float64
-	for _, r := range b.Sym {
-		fmt.Fprintf(w, "%-16s %8d %14.0f %14.0f %8.2fx\n",
-			r.Workload, r.Insns, r.CompiledRate, r.InterpRate, r.Speedup)
-		symSpeed = append(symSpeed, r.Speedup)
-	}
-	fmt.Fprintf(w, "geomean: %.2fx over interpretation\n", geomean(symSpeed))
 }

@@ -40,7 +40,7 @@ var ErrReadOnly = errors.New("ledger: attached read-only (another process holds 
 type Stats struct {
 	Loaded      int // records read intact from the file
 	Appended    int // records appended by this handle
-	Corruptions int // corrupt suffixes detected (skipped/truncated)
+	Corruptions int // bad-checksum entries skipped and torn tails truncated
 	ReadOnly    bool
 }
 

@@ -65,7 +65,7 @@ type PCStats struct {
 	Infeasible    int64 `json:"infeasible"`         // branch sides pruned as unsat
 	Kills         int64 `json:"kills"`              // states killed by budgets/governor at this PC
 	Merges        int64 `json:"merges"`             // opportunistic state merges at this PC
-	CompileMisses int64 `json:"compile_misses"`     // translation/compile cache misses
+	CompileMisses int64 `json:"compile_misses"`     // decodes: compile-cache misses and self-modified windows
 	Degraded      int64 `json:"degraded,omitempty"` // degradations attributed to this PC
 }
 
@@ -419,7 +419,8 @@ func (s *Shard) Merge(pc uint64) {
 	s.at(pc).Merges++
 }
 
-// CompileMiss records a translation- or compile-cache miss at pc.
+// CompileMiss records a decode at pc: a compile-cache miss or a
+// self-modified fetch window.
 func (s *Shard) CompileMiss(pc uint64) {
 	if s == nil {
 		return

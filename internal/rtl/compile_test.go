@@ -356,7 +356,9 @@ func benchSetup(b *testing.B, name string) (*adl.Arch, *adl.Insn, rtl.Operands, 
 }
 
 // BenchmarkCompiledVsInterp tracks the evaluator-level speedup of the
-// semantics compiler on representative instructions (docs/compile.md).
+// semantics compiler on representative instructions (docs/compile.md),
+// and the one-shot compile-and-execute cost that keeps the engine's
+// self-modified-window fallback on the interpreter.
 func BenchmarkCompiledVsInterp(b *testing.B) {
 	for _, name := range []string{"alu", "memop", "branchy"} {
 		a, ins, ops, cs := benchSetup(b, name)
@@ -396,6 +398,15 @@ func BenchmarkCompiledVsInterp(b *testing.B) {
 			ss := mkSym()
 			for i := 0; i < b.N; i++ {
 				unit.ExecSym(eb, ss, sc)
+			}
+		})
+		// A unit compiled for a single execution: what a self-modified
+		// fetch window would cost per step if the engine compiled it
+		// instead of interpreting it (docs/compile.md).
+		b.Run(name+"/sym-compile+exec", func(b *testing.B) {
+			ss := mkSym()
+			for i := 0; i < b.N; i++ {
+				rtl.Compile(ins, ops, a.PC).ExecSym(eb, ss, sc)
 			}
 		})
 	}

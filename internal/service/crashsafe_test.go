@@ -599,3 +599,49 @@ func TestJournalFinishBeforeSubmitStaysClosed(t *testing.T) {
 		t.Errorf("recovered %d jobs, want 1", recovered)
 	}
 }
+
+// TestJournalFlippedCRCKeepsLaterJobs: a bit flip in one journal frame
+// loses that record only. Of two submitted records whose first frame
+// has a flipped checksum, the second job still recovers and runs.
+func TestJournalFlippedCRCKeepsLaterJobs(t *testing.T) {
+	image := buildImage(t, "tiny32", crashSrc)
+	dir := t.TempDir()
+	seedJournal(t, dir, []map[string]any{
+		submittedRec("j000001", crashSpec(image)),
+		submittedRec("j000002", crashSpec(image)),
+	})
+	// The first frame's CRC field follows the 8-byte file header and
+	// its own 4-byte length.
+	path := filepath.Join(dir, "journal.sxjl")
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], 12); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b[:], 12); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	srv, hs, c := startServer(t, Config{Obs: obs.New(), StateDir: dir})
+	defer srv.Close()
+	defer hs.Close()
+
+	fin, err := c.Wait("j000002", 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Status != StateDone || !fin.Recovered {
+		t.Errorf("j000002: status %s recovered=%v, want done and recovered", fin.Status, fin.Recovered)
+	}
+	if _, err := c.Status("j000001"); err == nil {
+		t.Error("j000001 recovered from a record with a bad checksum")
+	}
+	if st, recovered, _ := srv.JournalStats(); st.Corruptions != 1 || recovered != 1 {
+		t.Errorf("journal corruptions %d, recovered %d; want 1 and 1", st.Corruptions, recovered)
+	}
+}

@@ -9,9 +9,10 @@
 //     (magic "SXQC"): CRC-framed entries of (key, result, model), so a
 //     flush is a single sequential write and a crash mid-append costs
 //     only the torn tail;
-//   - Load replays the log into the in-memory QueryCache, skipping and
-//     (when writable) truncating any corrupt suffix — a flipped bit or
-//     truncated tail can never poison results, only shrink the cache;
+//   - Load replays the log into the in-memory QueryCache, skipping any
+//     entry whose checksum fails and (when writable) truncating a torn
+//     tail — a flipped bit or truncated tail can never poison results,
+//     only shrink the cache;
 //   - a background flusher (service layer or caller-driven) appends the
 //     entries solved since the last flush;
 //   - compaction bounds the file: when the live entry count exceeds the
@@ -83,8 +84,8 @@ type PersistentCache struct {
 // intact entry into cache. When another process already holds the lease
 // the cache attaches read-only: Load works, Flush returns ErrReadOnly,
 // and the file is never truncated or appended to. The returned cache is
-// usable even when the load found corruption — the corrupt suffix is
-// skipped (and truncated away, for the writer) and counted in
+// usable even when the load found corruption — bad entries are skipped,
+// a torn tail is truncated away by the writer, and both count in
 // Stats().Corruptions.
 func OpenPersistentCache(path string, cache *QueryCache, opts PersistOptions) (*PersistentCache, error) {
 	if cache == nil {

@@ -176,9 +176,8 @@ func TestPersistFlippedCRCByte(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one payload byte in the middle of the log: every entry from
-	// the flipped one on is dropped (append-only logs have no entry
-	// framing to resync on), and nothing panics.
+	// Flip one payload byte in the middle of the log: the entry it
+	// lands in fails its checksum and is skipped, and nothing panics.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

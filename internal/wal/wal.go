@@ -8,9 +8,11 @@
 //     foreign files;
 //   - each entry is u32 payload length + u32 CRC32(payload) + payload,
 //     so a torn or bit-flipped tail is detected per entry;
-//   - recovery is skip-and-truncate: a corrupt suffix is skipped on
-//     load, and the lease-holding writer truncates it away so the next
-//     append lands on an intact boundary;
+//   - recovery is skip-and-truncate: a frame whose length is in bounds
+//     and whose payload reads in full but fails its CRC is skipped and
+//     the scan goes on, so one flipped bit loses one entry; a torn or
+//     short tail stops the scan, and the lease-holding writer truncates
+//     it away so the next append lands on an intact boundary;
 //   - a flock-based single-writer lease makes concurrent processes
 //     safe: the first opener owns appends, later openers attach
 //     read-only and may re-Load to follow the writer;
@@ -75,7 +77,7 @@ type Options struct {
 type Stats struct {
 	Loaded      int64 // entries read intact by the most recent Load
 	Appended    int64 // entries appended by this handle
-	Corruptions int64 // corrupt suffixes detected (skipped/truncated), cumulative
+	Corruptions int64 // bad-CRC frames skipped and corrupt suffixes truncated, cumulative
 	Rewrites    int64 // atomic whole-log rewrites performed
 	ReadOnly    bool  // true when another process owns the writer lease
 }
@@ -139,13 +141,17 @@ func Open(path string, opts Options) (*Log, error) {
 // Load scans the log from the start, calling fn with each intact
 // payload in append order. An empty file gets its header stamped (by
 // the writer); a foreign or torn header counts as whole-file
-// corruption and the writer starts the file over. A corrupt suffix —
-// torn frame, bad CRC, or fn rejecting the payload — stops the scan,
-// counts one corruption, and is truncated away by the writer so the
-// next append lands on an intact boundary; readers only skip, since
-// truncating without the lease would race the writer. Loading again
-// rescans everything; callers that keep state must reset it in fn or
-// before calling.
+// corruption and the writer starts the file over. A frame with a bad
+// CRC but an in-bounds length and a fully readable payload counts one
+// corruption and is skipped; the scan continues with the next frame. A
+// corrupt suffix — torn frame, out-of-bounds length, or fn rejecting
+// the payload — stops the scan and counts one corruption. Everything
+// after the last intact entry (that suffix, and any skipped frames
+// with no intact entry after them) is truncated away by the writer so
+// the next append lands on an intact boundary; readers only skip,
+// since truncating without the lease would race the writer. Loading
+// again rescans everything; callers that keep state must reset it in
+// fn or before calling.
 func (l *Log) Load(fn func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -189,7 +195,8 @@ func (l *Log) Load(fn func(payload []byte) error) error {
 		}
 		return nil
 	}
-	good := int64(len(hdr)) // offset of the last intact entry boundary
+	good := int64(len(hdr)) // end of the last intact entry
+	off := good             // end of the last frame read in full
 	var lenb [8]byte
 	for {
 		if _, err := io.ReadFull(l.f, lenb[:]); err != nil {
@@ -209,16 +216,17 @@ func (l *Log) Load(fn func(payload []byte) error) error {
 			l.stats.Corruptions++ // truncated tail
 			break
 		}
+		off += int64(len(lenb)) + int64(plen)
 		if crc32.ChecksumIEEE(payload) != crc {
-			l.stats.Corruptions++ // flipped bits
-			break
+			l.stats.Corruptions++ // flipped bits: skip this frame only
+			continue
 		}
 		if err := fn(payload); err != nil {
 			l.stats.Corruptions++ // undecodable record
 			break
 		}
 		l.stats.Loaded++
-		good += int64(len(lenb)) + int64(plen)
+		good = off
 	}
 	// Skip-and-truncate recovery: the writer drops the corrupt suffix
 	// so the next append lands on an intact boundary.
@@ -339,7 +347,8 @@ func (l *Log) writeFramedLocked(buf []byte) error {
 	case faultinject.KindCRCFlip:
 		// Silent bit rot: the write is acknowledged but the checksum on
 		// disk is wrong, so the next Load detects exactly one corruption
-		// and truncates the entry away.
+		// and skips the frame (the writer truncates it while it is the
+		// tail).
 		buf = append([]byte(nil), buf...)
 		buf[4] ^= 0x01
 	}

@@ -113,8 +113,8 @@ func TestTruncatedTail(t *testing.T) {
 	}
 }
 
-// TestFlippedCRC: a bit flip in a middle entry loses that entry and the
-// suffix, never crashes, and counts exactly one corruption.
+// TestFlippedCRC: a bit flip in a middle entry's payload loses that
+// entry only, never crashes, and counts exactly one corruption.
 func TestFlippedCRC(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _ := Open(path, testOpts)
@@ -147,11 +147,67 @@ func TestFlippedCRC(t *testing.T) {
 	}
 	defer l2.Close()
 	got := collect(t, l2)
-	if len(got) != 2 {
-		t.Fatalf("loaded %d entries, want 2 (prefix before the flip)", len(got))
+	want := []string{"entry-0", "entry-1", "entry-3", "entry-4"}
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d entries, want %d (all but the flipped one)", len(got), len(want))
+	}
+	for i := range want {
+		if string(got[i]) != want[i] {
+			t.Errorf("entry %d = %q, want %q", i, got[i], want[i])
+		}
 	}
 	if st := l2.Stats(); st.Corruptions != 1 {
 		t.Fatalf("corruptions = %d, want 1", st.Corruptions)
+	}
+}
+
+// TestFlippedCRCFieldSkipsOneFrame: frames A, B, C with B's stored
+// checksum flipped load as A and C with one corruption; the writer keeps
+// C, so an append after recovery lands behind it.
+func TestFlippedCRCFieldSkipsOneFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _ := Open(path, testOpts)
+	for _, p := range []string{"A", "B", "C"} {
+		if err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+
+	// Frame B starts after the 8-byte header and frame A (8 + 1 bytes);
+	// its CRC field is the second u32 of the frame prefix.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crc [1]byte
+	if _, err := f.ReadAt(crc[:], 8+9+4); err != nil {
+		t.Fatal(err)
+	}
+	crc[0] ^= 0x10
+	if _, err := f.WriteAt(crc[:], 8+9+4); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	l2, err := Open(path, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, l2); len(got) != 2 || string(got[0]) != "A" || string(got[1]) != "C" {
+		t.Fatalf("loaded %q, want [A C]", got)
+	}
+	if st := l2.Stats(); st.Corruptions != 1 || st.Loaded != 2 {
+		t.Fatalf("stats = %+v, want 2 loaded and 1 corruption", st)
+	}
+	if err := l2.Append([]byte("D")); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	l3, _ := Open(path, testOpts)
+	defer l3.Close()
+	if got := collect(t, l3); len(got) != 3 || string(got[2]) != "D" {
+		t.Fatalf("after append loaded %q, want [A C D]", got)
 	}
 }
 
