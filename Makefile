@@ -10,11 +10,12 @@
 # daemon, the run-ledger regression-gate smoke, the live-progress
 # SSE smoke (docs/observability.md), and the kill-9 crash-recovery
 # smoke of the durable job journal and exploration checkpoints
-# (docs/service.md).
+# (docs/service.md), and the tests of the separate perfbench module,
+# which imports internal/ packages.
 
-.PHONY: check build test vet race bench loc fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
+.PHONY: check build test vet race bench loc perfbench-test fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
 
-check: build test vet race fuzz-smoke difftest-smoke obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
+check: build test vet race fuzz-smoke difftest-smoke obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke perfbench-test
 
 build:
 	go build ./...
@@ -30,6 +31,11 @@ race:
 
 bench:
 	go test -bench=. -benchmem
+
+# perfbench is its own module (it imports repro/internal/... through a
+# replace directive), so `go test ./...` at the root does not reach it.
+perfbench-test:
+	cd perfbench && go test .
 
 # Production line count per package (ROADMAP aim 2): every line of the
 # non-test Go files under internal/ and cmd/, skipping generated files

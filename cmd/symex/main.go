@@ -324,8 +324,7 @@ func main() {
 		dumpProfile()
 		cs := rep.Stats
 		cs.Coverage = rep.Coverage
-		cs.PathsDone = len(rep.Paths) // the concolic loop doesn't count paths
-		cs.WallTime = time.Since(t0)  // ... nor self-time
+		cs.WallTime = time.Since(t0) // the concolic loop doesn't time itself
 		recordLedger(cs, "concolic", len(rep.Bugs))
 		if len(rep.Faults) > 0 {
 			fmt.Fprintf(os.Stderr, "faults: %d runs ended by recovered panics:\n", len(rep.Faults))

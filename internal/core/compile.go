@@ -13,21 +13,21 @@
 // immediates), never a builder, so one unit serves any worker's builder
 // at execution time.
 //
-// Self-modifying code: a state whose memory overlay touches an
-// instruction's fetch window (mem.writtenRange) gets an uncached entry
-// decoded from its own bytes, with no compiled unit; execEntry runs that
-// one through the RTL interpreter (rtl.SymEval), because compiling a
-// unit that is used once costs several times its interpretation.
-// Superblock execution re-checks the window before every chained entry.
-// The shared cache is only ever populated from unmodified image bytes,
-// so it needs no invalidation.
+// Self-modifying code: a state whose memory overlay touches the bytes an
+// instruction's decode depends on (its decode window, see
+// decoder.Window) gets an uncached entry decoded from its own bytes,
+// with no compiled unit; execEntry runs that one through the RTL
+// interpreter (rtl.SymEval), because compiling a unit that is used once
+// costs several times its interpretation. Superblock execution
+// re-checks the window before every chained entry. The shared cache is
+// only ever populated from unmodified image bytes, so it needs no
+// invalidation.
 package core
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bv"
 	"repro/internal/cover"
@@ -47,6 +47,7 @@ type compEntry struct {
 	unit   *rtl.Compiled // nil for a self-modified window's uncached entry
 	disasm string
 	cont   uint64 // fall-through continuation (width-truncated)
+	window int    // bytes the decode depends on (decoder.Window); cached entries only
 }
 
 // compBlock is a superblock: the straightline prefix starting at its
@@ -70,34 +71,15 @@ type compileCache struct {
 
 	unitCount  atomic.Int64
 	blockCount atomic.Int64
-	blockHits  atomic.Int64
-	blockInsns atomic.Int64
 }
 
 func newCompileCache() *compileCache { return &compileCache{} }
 
-// decodeEntry fetches, decodes and disassembles the instruction at pc
-// from st's memory, without compiling it. It is the one place decode
-// work is counted and timed. The entry is returned by value so an
+// decodeEntry decodes and disassembles the instruction in buf, fetched
+// at pc, without compiling it. The entry is returned by value so an
 // uncached one can live on the caller's stack.
-func (e *Engine) decodeEntry(st *State, pc uint64) (compEntry, error) {
-	buf, ok := st.mem.ConcreteFetch(pc, e.Arch.MaxInsnBytes())
-	if !ok {
-		return compEntry{}, fmt.Errorf("symbolic instruction bytes at %#x", pc)
-	}
-	e.report.Stats.DecodeCalls++
-	e.m.decodeCalls.Inc()
-	e.prof.CompileMiss(pc)
-	// Only the decoder call is timed: cache hits (the common case) must
-	// not pay for two clock reads per instruction.
-	var t0 time.Time
-	if e.m.on {
-		t0 = time.Now()
-	}
-	d, err := e.Dec.Decode(buf)
-	if e.m.on {
-		e.m.decodeSeconds.ObserveSince(t0)
-	}
+func (e *Engine) decodeEntry(pc uint64, buf []byte) (compEntry, error) {
+	d, err := e.rec.decode(e.Dec, pc, buf)
 	if err != nil {
 		return compEntry{}, err
 	}
@@ -108,30 +90,52 @@ func (e *Engine) decodeEntry(st *State, pc uint64) (compEntry, error) {
 	}, nil
 }
 
+// fetchEntry returns the entry for the instruction at st.PC: the shared
+// compiled one, unless st's memory overlay touches the entry's decode
+// window (self-modifying code) — then an uncached entry decoded from
+// st's own bytes. Overlay bytes past the window, such as data written
+// right behind a short instruction, do not count.
+func (e *Engine) fetchEntry(st *State) (*compEntry, error) {
+	pc, n := st.PC, e.Arch.MaxInsnBytes()
+	ent, err := e.entryAt(st, pc)
+	if err == nil && !st.mem.writtenRange(pc, ent.window) || err != nil && !st.mem.writtenRange(pc, n) {
+		return ent, err
+	}
+	buf, ok := st.mem.ConcreteFetch(pc, n)
+	if !ok {
+		return nil, fmt.Errorf("symbolic instruction bytes at %#x", pc)
+	}
+	own, err := e.decodeEntry(pc, buf)
+	return &own, err
+}
+
 // entryAt returns the compiled entry for the instruction at pc,
-// compiling it on first use anywhere in the run. The caller must have
-// established that st's overlay does not touch the fetch window, so the
-// bytes — and therefore the cached entry — come from the shared image.
+// compiling it on first use anywhere in the run. It decodes the image
+// bytes under st's overlay, so the cached entry is the same for every
+// state; callers check the entry's window against their own overlay.
 func (e *Engine) entryAt(st *State, pc uint64) (*compEntry, error) {
 	if ent, ok := e.compiled.units.Load(pc); ok {
 		return ent.(*compEntry), nil
 	}
-	ent, err := e.decodeEntry(st, pc)
+	buf := st.mem.imageFetch(pc, e.Arch.MaxInsnBytes())
+	ent, err := e.decodeEntry(pc, buf)
 	if err != nil {
 		return nil, err
 	}
 	ent.unit = rtl.Compile(ent.dec.Insn, ent.dec.Ops, e.Arch.PC)
+	ent.window = e.Dec.Window(buf, ent.dec)
 	if prev, loaded := e.compiled.units.LoadOrStore(pc, &ent); loaded {
 		return prev.(*compEntry), nil
 	}
 	e.compiled.unitCount.Add(1)
-	e.m.compiledUnits.Inc()
+	e.rec.compiled()
 	return &ent, nil
 }
 
 // blockFor returns the superblock headed at st.PC, building and caching
-// it on first use. Blocks truncated by st's own memory writes are not
-// cached (they would shorten the block for every other state).
+// it on first use from image bytes. Blocks truncated by st's own memory
+// writes past the head are not cached (they would shorten the block for
+// every other state); the caller checks the head's window.
 func (e *Engine) blockFor(st *State) *compBlock {
 	pc := st.PC
 	if blk, ok := e.compiled.blocks.Load(pc); ok {
@@ -139,16 +143,15 @@ func (e *Engine) blockFor(st *State) *compBlock {
 	}
 	blk := &compBlock{}
 	cur := pc
-	maxLen := e.Arch.MaxInsnBytes()
 	truncated := false
 	for len(blk.units) < maxSuperblock {
-		if cur != pc && st.mem.writtenRange(cur, maxLen) {
-			truncated = true
-			break
-		}
 		ent, err := e.entryAt(st, cur)
 		if err != nil {
 			break // the single-step path surfaces decode errors
+		}
+		if cur != pc && st.mem.writtenRange(cur, ent.window) {
+			truncated = true
+			break
 		}
 		if !ent.unit.Straightline() {
 			break
@@ -164,10 +167,7 @@ func (e *Engine) blockFor(st *State) *compBlock {
 		e.compiled.blocks.Store(pc, blk)
 		if len(blk.units) > 0 {
 			e.compiled.blockCount.Add(1)
-			e.m.superblockBuilds.Inc()
-			if e.m.on {
-				e.m.superblockLen.Observe(float64(len(blk.units)))
-			}
+			e.rec.blockBuilt(len(blk.units))
 		}
 	}
 	return blk
@@ -181,37 +181,22 @@ func (e *Engine) blockFor(st *State) *compBlock {
 // hits, injection sites, the MaxSteps check — fires per unit, so a
 // block run is observationally per-instruction.
 func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
-	e.compiled.blockHits.Add(1)
-	e.m.superblockHits.Inc()
-	maxLen := e.Arch.MaxInsnBytes()
 	pcReg := e.Arch.PC
 	ec := &execCtx{e: e}
-	n := int64(0)
-	defer func() {
-		e.compiled.blockInsns.Add(n)
-		e.m.superblockInsns.Add(n)
-		if blk.shared {
-			e.prof.ExecBlock(blk, blk.prof, int(n))
-		}
-	}()
+	n := 0
+	defer func() { e.rec.block(blk, n) }()
 	for i, ent := range blk.units {
 		pc := st.PC
 		if i > 0 {
 			// safeStep fired the per-step site for the first unit; keep
 			// the fires-per-instruction contract for the rest.
 			e.inject.Fire(faultinject.SiteSymStep)
-			if st.mem.writtenRange(pc, maxLen) {
+			if st.mem.writtenRange(pc, ent.window) {
 				break // self-modified under this state: re-enter via step
 			}
 		}
-		e.recordVisit(pc)
-		e.report.Stats.Instructions++
-		e.m.instructions.Inc()
+		e.rec.insn(pc, e.visit(pc), ent, blk)
 		e.cov.Hit(cover.LSym, ent.dec.Insn)
-		if e.prof != nil && !blk.shared {
-			e.prof.Exec(pc, ent.unit.Mnemonic, ent.unit.Format)
-			e.prof.Edge(pc, ent.cont)
-		}
 		st.Steps++
 		n++
 		// Translate layer: one injection site and coverage hit per
@@ -252,13 +237,8 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 // through the RTL interpreter instead.
 func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 	insAddr := st.PC
-	e.recordVisit(insAddr)
-	e.report.Stats.Instructions++
-	e.m.instructions.Inc()
+	e.rec.insn(insAddr, e.visit(insAddr), ent, nil)
 	e.cov.Hit(cover.LSym, ent.dec.Insn)
-	if e.prof != nil {
-		e.prof.Exec(insAddr, ent.dec.Insn.Mnemonic, formatName(ent.dec.Insn))
-	}
 	st.Steps++
 	e.inject.Fire(faultinject.SiteTranslate)
 	e.cov.Hit(cover.LTranslate, ent.dec.Insn)
@@ -309,6 +289,4 @@ func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 func (e *Engine) snapshotCompileStats() {
 	e.report.Stats.CompiledUnits = e.compiled.unitCount.Load()
 	e.report.Stats.Superblocks = e.compiled.blockCount.Load()
-	e.report.Stats.SuperblockHits = e.compiled.blockHits.Load()
-	e.report.Stats.SuperblockInsns = e.compiled.blockInsns.Load()
 }

@@ -46,7 +46,7 @@ type ConcolicReport struct {
 func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 	e.report = Report{}
 	e.bugSeen = newBugDedup()
-	defer e.profiler.Fold(e.prof)
+	defer e.rec.fold()
 	rep := &ConcolicReport{}
 	covered := map[uint64]bool{}
 	tried := map[string]bool{}
@@ -69,7 +69,6 @@ func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 			return nil, err
 		}
 		rep.Paths = append(rep.Paths, *path)
-		e.progress.addPaths(1)
 
 		// Record this path's branch prefixes as explored.
 		var sig strings.Builder
@@ -166,6 +165,7 @@ func (e *Engine) runConcolic(input []byte, covered map[uint64]bool) (*ConcolicPa
 			return nil, nil, fmt.Errorf("core: concolic replay lost the concrete path at %#x", st.PC)
 		}
 		if next.Done {
+			e.rec.pathEnd(next)
 			out.Status = next.Status
 			out.Fault = next.Fault
 			out.Steps = next.Steps

@@ -131,10 +131,10 @@ type Options struct {
 	// Obs attaches the telemetry subsystem (internal/obs): registry-
 	// backed counters, gauges and latency histograms fed from the hot
 	// paths, and — when Obs.Trace is set — per-path lifecycle tracing.
-	// Nil (the default) disables all instrumentation; the residual cost
-	// is one pointer test per site. The end-of-run Stats struct remains
-	// the deterministic snapshot; the registry is the live view of the
-	// same counters (docs/observability.md).
+	// Nil (the default) disables it. Obs, Profile and Progress are views
+	// of the engine's one event recorder (record.go); with none attached,
+	// recording costs no atomic op and no clock read. Stats remains the
+	// deterministic end-of-run snapshot (docs/observability.md).
 	Obs *obs.Obs
 
 	// Cover attaches the semantic-coverage collector (internal/cover).
@@ -144,7 +144,7 @@ type Options struct {
 	// (branch polarities proved feasible), the decode layer (through the
 	// shared decoder) and the translate layer (through the RTL
 	// evaluator). Nil (the default) disables recording; the residual
-	// cost is one pointer test per site, same bargain as Obs.
+	// cost is one pointer test per site.
 	Cover *cover.Collector
 
 	// SolverDeadline, when nonzero, bounds every individual solver
@@ -156,8 +156,9 @@ type Options struct {
 
 	// MaxStateTerms, when nonzero, bounds the symbolic footprint of a
 	// single state (path-condition terms plus memory-overlay cells). A
-	// state growing past the budget is killed with a recorded
-	// degradation; its siblings continue. Ignored during concrete
+	// state growing past the budget ends as a StatusKilled path (counted
+	// in PathsDone and Degraded[DegradeStateBudget], not StatesKilled);
+	// its siblings continue. Ignored during concrete
 	// replays, which must never lose the pinned path.
 	MaxStateTerms int
 
@@ -174,17 +175,15 @@ type Options struct {
 	// degradations, cache misses, kills/merges and sampled step time.
 	// Each engine (and each parallel worker) records into its own
 	// unsynchronized shard, folded into the profiler at merge points.
-	// Nil (the default) disables recording; the residual cost is one
-	// pointer test per site, same bargain as Obs and Cover.
+	// Nil (the default) disables recording (see Obs for the cost).
 	Profile *profile.Profiler
 
 	// Progress, when non-nil, receives live run-progress updates
 	// (instructions, paths, forks, frontier depth, solver time,
 	// coverage, degradations) as lock-free atomic counters an observer
 	// may snapshot while the run executes — the feed behind symexd's
-	// per-job SSE stream. Nil (the default) disables it; the residual
-	// cost is one pointer test per site, same bargain as Obs, Cover
-	// and Profile.
+	// per-job SSE stream. Nil (the default) disables it (see Obs for
+	// the cost).
 	Progress *Progress
 
 	// JobID labels this run's trace events and profile with the
@@ -303,15 +302,15 @@ type Stats struct {
 	Forks        int64
 	Infeasible   int64 // branch sides pruned by the solver
 	PathsDone    int
-	StatesKilled int
+	StatesKilled int // live states dropped by a budget, cancellation or stop
 	MaxDepth     int
 	MaxLiveSet   int
 	DecodeCalls  int64 // actual decoder invocations (cache misses)
 	Merges       int64 // state merges performed (MergeStates)
 
-	// Compiled-execution counters (docs/compile.md), shared across
-	// workers in parallel runs. Self-modified fetch windows are decoded
-	// but never compiled, so they count in DecodeCalls only.
+	// Compiled-execution counters (docs/compile.md). Units and blocks
+	// count the shared cache's entries. Self-modified fetch windows are
+	// decoded but never compiled, so they count in DecodeCalls only.
 	CompiledUnits   int64 // instructions compiled to closure chains
 	Superblocks     int64 // superblocks built (non-empty)
 	SuperblockHits  int64 // superblock executions
@@ -419,18 +418,15 @@ type Engine struct {
 
 	// Parallel-run plumbing: shVisits replaces the visits map when this
 	// engine is a worker of a parallel run (shared, sharded); par points
-	// at the coordinating run state; workerID is this worker's index.
+	// at the coordinating run state (the worker's index is rec.wid).
 	shVisits *visitTable
 	par      *parRun
-	workerID int
 	steals   int64         // states adopted from other workers' builders
 	busy     time.Duration // time spent executing states
 
-	// Telemetry (Options.Obs): m holds the resolved registry instruments
-	// (all nil and no-op when telemetry is off), tr the exploration
-	// tracer (nil when tracing is off). Workers share both.
-	m  engineMetrics
-	tr *obs.Tracer
+	// rec is this engine's (or worker's) event recorder (record.go), the
+	// one writer of Stats counters, Progress, metrics, profile and trace.
+	rec recorder
 
 	// cov is the architecture's semantic-coverage binding
 	// (Options.Cover); nil when coverage is off. Workers share it — the
@@ -442,104 +438,10 @@ type Engine struct {
 	// across a parallel run.
 	inject *faultinject.Injector
 
-	// Exploration profiling (Options.Profile): profiler is the shared
-	// fold target, prof this engine's (or worker's) unsynchronized
-	// recording shard — nil when profiling is off, and every shard
-	// method no-ops on nil.
-	profiler *profile.Profiler
-	prof     *profile.Shard
-
-	// progress is the live run-progress block (Options.Progress); nil
-	// when no observer asked for it. Workers share it — every update is
-	// a single atomic op.
-	progress *Progress
-
 	// resumedWall is the wall time the interrupted legs of a resumed
 	// run had already spent (Options.Resume); end-of-run and checkpoint
 	// WallTime report the run-cumulative figure.
 	resumedWall time.Duration
-}
-
-// StepSampleRate is the sampling factor of the engine_step_seconds
-// histogram: one in this many instructions is timed. On hosts without a
-// fast clock path, two time.Now() calls per instruction alone cost
-// several percent of interpreter throughput; sampling keeps the latency
-// distribution representative while keeping the always-on overhead
-// within budget. Total step time estimates multiply the histogram sum
-// by this factor.
-const StepSampleRate = 8
-
-// engineMetrics is the engine's resolved registry instrument set. The
-// zero value (telemetry off) makes every record call a nil-receiver
-// no-op; the `on` flag additionally guards the time.Now() calls the
-// latency histograms need.
-type engineMetrics struct {
-	on            bool
-	stepTick      uint64         // sampling counter for stepSeconds (per engine/worker)
-	instructions  *obs.Counter   // engine_instructions_total
-	forks         *obs.Counter   // engine_forks_total
-	infeasible    *obs.Counter   // engine_infeasible_total
-	pathsDone     *obs.Counter   // engine_paths_completed_total
-	statesKilled  *obs.Counter   // engine_states_killed_total
-	decodeCalls   *obs.Counter   // engine_decode_calls_total
-	merges        *obs.Counter   // engine_merges_total
-	frontierDepth *obs.Gauge     // engine_frontier_depth
-	liveMax       *obs.Gauge     // engine_live_states_max
-	stepSeconds   *obs.Histogram // engine_step_seconds
-	decodeSeconds *obs.Histogram // engine_decode_seconds
-	branchSeconds *obs.Histogram // engine_branch_check_seconds
-
-	// Compiled-execution series (docs/compile.md).
-	compiledUnits    *obs.Counter   // engine_compiled_units_total
-	superblockBuilds *obs.Counter   // engine_superblock_builds_total
-	superblockHits   *obs.Counter   // engine_superblock_hits_total
-	superblockInsns  *obs.Counter   // engine_superblock_insns_total
-	superblockLen    *obs.Histogram // engine_superblock_len
-
-	// Robustness series (docs/robustness.md): fault_paths_total by
-	// fault layer and degraded_total by degradation cause. The zero
-	// arrays are nil counters, so recording stays a no-op when
-	// telemetry is off.
-	faults   [len(faultLayers)]*obs.Counter
-	degraded [NumDegradeCauses]*obs.Counter
-}
-
-// newEngineMetrics resolves the engine instrument set against o's
-// registry (get-or-create, so every engine sharing a registry feeds the
-// same series). Returns the zero set when telemetry is off.
-func newEngineMetrics(o *obs.Obs) engineMetrics {
-	r := o.Registry()
-	if r == nil {
-		return engineMetrics{}
-	}
-	m := engineMetrics{
-		on:            true,
-		instructions:  r.Counter("engine_instructions_total", "Instructions executed symbolically"),
-		forks:         r.Counter("engine_forks_total", "State forks at feasible branches"),
-		infeasible:    r.Counter("engine_infeasible_total", "Branch sides pruned as unsatisfiable"),
-		pathsDone:     r.Counter("engine_paths_completed_total", "Paths that reached a terminal status"),
-		statesKilled:  r.Counter("engine_states_killed_total", "Live states dropped by a budget"),
-		decodeCalls:   r.Counter("engine_decode_calls_total", "Decoder invocations (translation-cache misses)"),
-		merges:        r.Counter("engine_merges_total", "Opportunistic state merges (MergeStates)"),
-		frontierDepth: r.Gauge("engine_frontier_depth", "Live states queued for exploration"),
-		liveMax:       r.Gauge("engine_live_states_max", "High-water mark of the live state set"),
-		stepSeconds:   r.Histogram("engine_step_seconds", "Per-instruction symbolic step latency (sampled 1 in 8)", obs.TimeBuckets),
-		decodeSeconds: r.Histogram("engine_decode_seconds", "Decoder invocation latency (translation-cache misses only)", obs.TimeBuckets),
-		branchSeconds: r.Histogram("engine_branch_check_seconds", "Branch-feasibility decision latency (solver time)", obs.TimeBuckets),
-
-		compiledUnits:    r.Counter("engine_compiled_units_total", "Instructions compiled to closure chains"),
-		superblockBuilds: r.Counter("engine_superblock_builds_total", "Superblocks built (non-empty straightline prefixes)"),
-		superblockHits:   r.Counter("engine_superblock_hits_total", "Superblock executions"),
-		superblockInsns:  r.Counter("engine_superblock_insns_total", "Instructions executed inside superblocks"),
-		superblockLen:    r.Histogram("engine_superblock_len", "Superblock chain length at build time", obs.SuperblockLenBuckets),
-	}
-	for i, l := range faultLayers {
-		m.faults[i] = r.Counter(fmt.Sprintf("fault_paths_total{layer=%q}", l), faultPathsHelp)
-	}
-	for c := DegradeCause(0); c < NumDegradeCauses; c++ {
-		m.degraded[c] = r.Counter(fmt.Sprintf("degraded_total{cause=%q}", c), "Graceful degradations (over-approximations) by cause")
-	}
-	return m
 }
 
 // Region is a half-open address range with a human-readable role.
@@ -588,23 +490,10 @@ func NewEngine(a *adl.Arch, p *prog.Program, opts Options) *Engine {
 		}
 		e.Solver.Cache = e.cache
 	}
-	e.m = newEngineMetrics(opts.Obs)
-	e.tr = opts.Obs.Tracer().Scoped(opts.JobID)
+	e.rec = newRecorder(opts, &e.report.Stats)
+	e.Solver.Prof = e.rec.queryProf()
 	e.cov = opts.Cover.Bind(a)
 	e.Dec.Cov = e.cov
-	e.profiler = opts.Profile
-	e.prof = opts.Profile.NewShard()
-	e.progress = opts.Progress
-	switch {
-	case e.prof != nil && e.progress != nil:
-		e.Solver.Prof = progressProf{shard: e.prof, prog: e.progress}
-	case e.prof != nil:
-		// Guarded: assigning a nil *Shard would make the interface
-		// non-nil and re-arm the solver's per-query clock reads.
-		e.Solver.Prof = e.prof
-	case e.progress != nil:
-		e.Solver.Prof = progressProf{prog: e.progress}
-	}
 	e.Solver.Obs = smt.NewSolverObs(opts.Obs.Registry())
 	e.Solver.MaxConflicts = opts.MaxSolverConflicts
 	e.Solver.QueryDeadline = opts.SolverDeadline

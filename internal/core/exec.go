@@ -32,7 +32,7 @@ func (e *Engine) Run() (*Report, error) {
 	t0 := time.Now()
 	e.report = Report{}
 	e.bugSeen = newBugDedup()
-	defer e.profiler.Fold(e.prof)
+	defer e.rec.fold()
 
 	var live []*State
 	if e.Opts.Resume != nil {
@@ -79,27 +79,10 @@ func (e *Engine) Run() (*Report, error) {
 			killReason = "canceled"
 		}
 		if killReason != "" {
-			e.report.Stats.StatesKilled += len(live)
-			e.m.statesKilled.Add(int64(len(live)))
-			if e.prof != nil {
-				for _, s := range live {
-					e.prof.Kill(s.PC)
-				}
-			}
-			if e.tr != nil {
-				e.tr.Event("kill", e.workerID, -1, 0,
-					fmt.Sprintf("%s (%d live states)", killReason, len(live)))
-			}
+			e.rec.killAll(live, killReason, "live")
 			break
 		}
-		if len(live) > e.report.Stats.MaxLiveSet {
-			e.report.Stats.MaxLiveSet = len(live)
-		}
-		if e.m.on {
-			e.m.frontierDepth.Set(int64(len(live)))
-			e.m.liveMax.Max(int64(len(live)))
-		}
-		e.progress.setFrontier(int64(len(live)))
+		e.rec.frontier(len(live))
 		var st *State
 		st, live = e.pick(live)
 
@@ -113,22 +96,14 @@ func (e *Engine) Run() (*Report, error) {
 			} else if len(live) < e.Opts.MaxStates {
 				live = append(live, c)
 			} else {
-				e.report.Stats.StatesKilled++
-				e.m.statesKilled.Inc()
-				e.prof.Kill(c.PC)
-				if e.tr != nil {
-					e.tr.Event("kill", e.workerID, c.ID, c.PC, "max-states")
-				}
+				e.rec.kill(c, "max-states")
 			}
 		}
 		if e.Opts.MergeStates {
 			live = e.mergeLive(live)
 		}
 	}
-	if e.m.on {
-		e.m.frontierDepth.Set(0)
-	}
-	e.progress.setFrontier(0)
+	e.rec.frontier(0)
 	e.report.Stats.WallTime = e.resumedWall + time.Since(t0)
 	e.report.Stats.Solver = e.Solver.Stats
 	e.report.Stats.Coverage = len(e.visits)
@@ -151,9 +126,7 @@ func (e *Engine) initialState() *State {
 	if e.Arch.SP != nil {
 		st.SetReg(e.Arch.SP, e.B.Const(e.Arch.SP.Width, bv.Trunc(e.Opts.StackBase, e.Arch.SP.Width)))
 	}
-	if e.tr != nil {
-		e.tr.Event("spawn", e.workerID, st.ID, st.PC, "entry")
-	}
+	e.rec.event("spawn", st.ID, st.PC, func() string { return "entry" })
 	return st
 }
 
@@ -179,19 +152,7 @@ func (e *Engine) pick(live []*State) (*State, []*State) {
 }
 
 func (e *Engine) finish(st *State) {
-	e.report.Stats.PathsDone++
-	e.m.pathsDone.Inc()
-	e.progress.addPaths(1)
-	if e.tr != nil {
-		detail := st.Status.String()
-		if st.Fault != "" {
-			detail += ": " + st.Fault
-		}
-		e.tr.Event("end", e.workerID, st.ID, st.PC, detail)
-	}
-	if st.Depth > e.report.Stats.MaxDepth {
-		e.report.Stats.MaxDepth = st.Depth
-	}
+	e.rec.pathEnd(st)
 	pr := PathResult{
 		ID:       st.ID,
 		Status:   st.Status,
@@ -226,21 +187,15 @@ func (e *Engine) visitCount(pc uint64) int64 {
 	return e.visits[pc]
 }
 
-// recordVisit bumps the per-pc execution count. It is called exactly
-// once per executed instruction (in a superblock or not), so it also
-// feeds the live-progress instruction and distinct-address counters.
-func (e *Engine) recordVisit(pc uint64) {
+// visit bumps the per-pc execution count and reports whether pc ran for
+// the first time in the run. It is called exactly once per executed
+// instruction, in a superblock or not.
+func (e *Engine) visit(pc uint64) bool {
 	if e.shVisits != nil {
-		if e.shVisits.inc(pc) {
-			e.progress.incCovered()
-		}
-	} else {
-		e.visits[pc]++
-		if e.visits[pc] == 1 {
-			e.progress.incCovered()
-		}
+		return e.shVisits.inc(pc)
 	}
-	e.progress.incInstructions()
+	e.visits[pc]++
+	return e.visits[pc] == 1
 }
 
 func (st *State) done(status Status) *State {
@@ -261,39 +216,19 @@ func formatName(ins *adl.Insn) string {
 // step executes one instruction of st and returns the successor states
 // (one or more on forks; completed states have Done set).
 func (e *Engine) step(st *State) ([]*State, error) {
-	var t0 time.Time
-	if e.m.on {
-		// Sampled: the two clock reads dominate the instrument cost on
-		// hosts without a vDSO clock, so only every StepSampleRate-th
-		// instruction is timed (the counter is per worker, not shared).
-		e.m.stepTick++
-		if e.m.stepTick%StepSampleRate == 0 {
-			t0 = time.Now()
-			defer e.m.stepSeconds.ObserveSince(t0)
-		}
-	}
 	// Compiled execution (docs/compile.md): instruction bytes from the
 	// unmodified image run through the shared cache of compiled units
-	// and superblocks. A state whose memory overlay touches the fetch
-	// window (self-modifying code) gets an uncached entry of its own
-	// bytes instead.
-	var ent *compEntry
-	var err error
-	if st.mem.writtenRange(st.PC, e.Arch.MaxInsnBytes()) {
-		var own compEntry
-		own, err = e.decodeEntry(st, st.PC)
-		ent = &own
-	} else {
-		// Opportunistic merging needs lockstep stepping — both branch
-		// sides live at the join pc at the same time — so MergeStates
-		// runs one entry per step call and skips superblock chaining.
-		if !e.Opts.MergeStates {
-			if blk := e.blockFor(st); len(blk.units) > 0 {
-				return e.runBlock(st, blk)
-			}
+	// and superblocks; a self-modified fetch window gets an uncached
+	// entry of the state's own bytes (fetchEntry). Opportunistic merging
+	// needs lockstep stepping — both branch sides live at the join pc at
+	// the same time — so MergeStates runs one entry per step call and
+	// skips superblock chaining.
+	if !e.Opts.MergeStates {
+		if blk := e.blockFor(st); len(blk.units) > 0 && !st.mem.writtenRange(st.PC, blk.units[0].window) {
+			return e.runBlock(st, blk)
 		}
-		ent, err = e.entryAt(st, st.PC)
 	}
+	ent, err := e.fetchEntry(st)
 	if err != nil {
 		st.Fault = err.Error()
 		return []*State{st.done(StatusDecode)}, nil
@@ -369,14 +304,8 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 	if guard.Kind() == expr.KBoolConst { // constant false
 		return nil, st, nil
 	}
-	e.report.Stats.Forks++
-	e.m.forks.Inc()
-	e.progress.addForks(1)
-	e.prof.Fork(st.PC, 1)
-	var t0 time.Time
-	if e.m.on || e.tr != nil {
-		t0 = time.Now()
-	}
+	e.rec.fork(st.PC, 1)
+	t0 := e.rec.clock()
 	sat, err := e.feasible(append(st.PathCond, guard))
 	if err != nil {
 		return nil, nil, err
@@ -385,13 +314,9 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 		taken = st.clone(e.nextID)
 		e.nextID++
 		taken.appendCond(guard)
-		if e.tr != nil {
-			e.tr.Event("fork", e.workerID, taken.ID, st.PC, fmt.Sprintf("guard taken, parent=%d", st.ID))
-		}
+		e.rec.event("fork", taken.ID, st.PC, func() string { return fmt.Sprintf("guard taken, parent=%d", st.ID) })
 	} else {
-		e.report.Stats.Infeasible++
-		e.m.infeasible.Inc()
-		e.prof.Infeasible(st.PC)
+		e.rec.infeasibleSide(st.PC)
 	}
 	neg := e.B.BoolNot(guard)
 	sat, err = e.feasible(append(st.PathCond, neg))
@@ -402,17 +327,11 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 		st.appendCond(neg)
 		fallthru = st
 	} else {
-		e.report.Stats.Infeasible++
-		e.m.infeasible.Inc()
-		e.prof.Infeasible(st.PC)
+		e.rec.infeasibleSide(st.PC)
 	}
-	if e.m.on {
-		e.m.branchSeconds.ObserveSince(t0)
-	}
-	if e.tr != nil {
-		e.tr.Span("branch", e.workerID, st.ID, st.PC, t0,
-			fmt.Sprintf("guard: taken=%v fallthru=%v", taken != nil, fallthru != nil))
-	}
+	e.rec.span("branch", st, t0, func() string {
+		return fmt.Sprintf("guard: taken=%v fallthru=%v", taken != nil, fallthru != nil)
+	})
 	return taken, fallthru, nil
 }
 
@@ -522,10 +441,7 @@ func (e *Engine) splitTargets(pcv *expr.Expr, conds []*expr.Expr) ([]target, boo
 func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAddr uint64) ([]*State, error) {
 	var out []*State
 	if len(ts) > 1 {
-		e.report.Stats.Forks += int64(len(ts) - 1)
-		e.m.forks.Add(int64(len(ts) - 1))
-		e.progress.addForks(int64(len(ts) - 1))
-		e.prof.Fork(insAddr, int64(len(ts)-1))
+		e.rec.fork(insAddr, int64(len(ts)-1))
 	}
 	cont := bv.Trunc(insAddr+uint64(dec.Len), e.Arch.Bits)
 	baseSig := st.sig
@@ -534,25 +450,14 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 		taken := bv.Trunc(t.addr, e.Arch.Bits) != cont
 		checked := len(ts) > 1 || len(t.conds) > 0
 		if checked {
-			var t0 time.Time
-			if e.m.on || e.tr != nil {
-				t0 = time.Now()
-			}
+			t0 := e.rec.clock()
 			ok, err := e.feasible(cond)
 			if err != nil {
 				return nil, err
 			}
-			if e.m.on {
-				e.m.branchSeconds.ObserveSince(t0)
-			}
-			if e.tr != nil {
-				e.tr.Span("branch", e.workerID, st.ID, st.PC,
-					t0, fmt.Sprintf("target %#x: feasible=%v", t.addr, ok))
-			}
+			e.rec.span("branch", st, t0, func() string { return fmt.Sprintf("target %#x: feasible=%v", t.addr, ok) })
 			if !ok {
-				e.report.Stats.Infeasible++
-				e.m.infeasible.Inc()
-				e.prof.Infeasible(insAddr)
+				e.rec.infeasibleSide(insAddr)
 				continue
 			}
 			e.cov.Branch(cover.LSolver, dec.Insn, taken)
@@ -567,10 +472,6 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 		} else {
 			child = st.clone(e.nextID)
 			e.nextID++
-			if e.tr != nil {
-				e.tr.Event("fork", e.workerID, child.ID, st.PC,
-					fmt.Sprintf("branch to %#x, parent=%d", t.addr, st.ID))
-			}
 		}
 		child.PathCond = cond
 		sig := baseSig
@@ -579,7 +480,7 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 		}
 		child.sig = sig
 		child.PC = bv.Trunc(t.addr, e.Arch.Bits)
-		e.prof.Edge(insAddr, child.PC)
+		e.rec.succ(insAddr, st, child, func() string { return fmt.Sprintf("branch to %#x, parent=%d", t.addr, st.ID) })
 		out = append(out, child)
 	}
 	return out, nil
@@ -598,18 +499,9 @@ func (e *Engine) enumerateJump(st *State, pcv *expr.Expr) ([]*State, error) {
 	var out []*State
 	excl := append([]*expr.Expr(nil), st.PathCond...)
 	for i := 0; i < e.Opts.MaxJumpTargets; i++ {
-		var t0 time.Time
-		if e.m.on || e.tr != nil {
-			t0 = time.Now()
-		}
+		t0 := e.rec.clock()
 		r, err := e.Solver.Check(excl...)
-		if e.m.on {
-			e.m.branchSeconds.ObserveSince(t0)
-		}
-		if e.tr != nil {
-			e.tr.Span("jump-enum", e.workerID, st.ID, st.PC, t0,
-				fmt.Sprintf("model %d: %v", i, r))
-		}
+		e.rec.span("jump-enum", st, t0, func() string { return fmt.Sprintf("model %d: %v", i, r) })
 		deg, err := e.degradeUnknown(err, DegradeJumpEnumBudget, DegradeJumpEnumDeadline)
 		if err != nil {
 			return nil, err
@@ -627,16 +519,9 @@ func (e *Engine) enumerateJump(st *State, pcv *expr.Expr) ([]*State, error) {
 		child.PC = addr
 		out = append(out, child)
 		excl = append(excl, e.B.BoolNot(eq))
-		e.report.Stats.Forks++
-		e.m.forks.Inc()
-		e.progress.addForks(1)
-		e.prof.Fork(st.PC, 1)
-		e.prof.Edge(st.PC, addr)
-		if e.tr != nil {
-			e.tr.Event("fork", e.workerID, child.ID, st.PC,
-				fmt.Sprintf("jump target %#x, parent=%d", addr, st.ID))
-		}
+		e.rec.succ(st.PC, st, child, func() string { return fmt.Sprintf("jump target %#x, parent=%d", addr, st.ID) })
 	}
+	e.rec.fork(st.PC, int64(len(out)))
 	if len(out) == 0 {
 		st.Fault = "unresolvable symbolic jump target"
 		return []*State{st.done(StatusFault)}, nil

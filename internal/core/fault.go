@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/faultinject"
@@ -111,14 +110,6 @@ func (d DegradeStats) Total() int64 {
 	return t
 }
 
-// degrade records one graceful degradation.
-func (e *Engine) degrade(cause DegradeCause) {
-	e.report.Stats.Degraded[cause]++
-	e.m.degraded[cause].Inc()
-	e.progress.incDegraded()
-	e.prof.Degrade(cause.String())
-}
-
 // degradeUnknown is the single policy point for unknown solver results.
 // A budget or deadline failure is absorbed — counted under the caller's
 // cause and reported as degraded=true so the caller over-approximates
@@ -129,10 +120,10 @@ func (e *Engine) degradeUnknown(err error, budget, deadline DegradeCause) (degra
 	case nil:
 		return false, nil
 	case smt.ErrBudget:
-		e.degrade(budget)
+		e.rec.degrade(budget)
 		return true, nil
 	case smt.ErrDeadline:
-		e.degrade(deadline)
+		e.rec.degrade(deadline)
 		return true, nil
 	}
 	return false, err
@@ -164,11 +155,11 @@ func layerOf(r any, boundary string) string {
 	return boundary
 }
 
-// recordFault appends a fault to the run report and bumps the counters.
-func (e *Engine) recordFault(pf PathFault) {
+// recordFault appends a fault to the run report and records it; st is
+// the path it killed, nil for a fault outside any path.
+func (e *Engine) recordFault(pf PathFault, st *State) {
 	e.report.Faults = append(e.report.Faults, pf)
-	e.report.Stats.PathFaults++
-	e.m.faults[faultLayerIndex(pf.Layer)].Inc()
+	e.rec.pathFault(pf, st)
 }
 
 // recoverFault converts a panic recovered at the per-path boundary into
@@ -184,10 +175,7 @@ func (e *Engine) recoverFault(st *State, r any) {
 	st.PathFault = &pf
 	st.Fault = pf.Msg
 	st.done(StatusPanic)
-	e.recordFault(pf)
-	if e.tr != nil {
-		e.tr.Event("kill", e.workerID, st.ID, st.PC, "panic: "+pf.Layer)
-	}
+	e.recordFault(pf, st)
 }
 
 // safeStep is the per-path fault boundary: it runs one engine step and
@@ -203,29 +191,18 @@ func (e *Engine) safeStep(st *State) (children []*State, err error) {
 		}
 	}()
 	e.inject.Fire(faultinject.SiteSymStep)
-	// Profiling (Options.Profile): mark the stepped PC so solver queries
-	// and degradations issued underneath attribute to it, and sample the
-	// step's wall time into the per-PC series.
-	var pt0 time.Time
-	profSampled := false
-	if e.prof != nil {
-		e.prof.SetPC(st.PC)
-		if profSampled = e.prof.SampleStep(); profSampled {
-			pt0 = time.Now()
-		}
-	}
+	t0 := e.rec.stepBegin(st.PC)
 	children, err = e.step(st)
-	if profSampled {
-		e.prof.StepTime(st.PC, time.Since(pt0))
-	}
+	e.rec.stepEnd(st.PC, t0)
 	if err != nil {
 		return nil, err
 	}
+	// A term-budget kill is a degradation plus a StatusKilled path end
+	// (the caller finishes c), not a StatesKilled.
 	if e.Opts.MaxStateTerms > 0 && e.concEnv == nil {
 		for _, c := range children {
 			if !c.Done && c.termSize() > e.Opts.MaxStateTerms {
-				e.degrade(DegradeStateBudget)
-				e.prof.Kill(c.PC)
+				e.rec.degrade(DegradeStateBudget)
 				c.Fault = fmt.Sprintf("state term budget exceeded (%d > %d)", c.termSize(), e.Opts.MaxStateTerms)
 				c.done(StatusKilled)
 			}
@@ -251,7 +228,7 @@ func (e *Engine) checkProtected(q []*expr.Expr) (res smt.Result, err error) {
 				Layer: layerOf(r, "solver"),
 				Msg:   fmt.Sprint(r),
 				Stack: stackTrace(),
-			})
+			}, nil)
 			res, err = smt.Unknown, nil
 		}
 	}()

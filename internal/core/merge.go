@@ -28,12 +28,7 @@ func (e *Engine) mergeLive(live []*State) []*State {
 		if idx, ok := byPC[st.PC]; ok {
 			if merged := e.merge(out[idx], st); merged != nil {
 				out[idx] = merged
-				e.report.Stats.Merges++
-				e.m.merges.Inc()
-				e.prof.Merge(merged.PC)
-				if e.tr != nil {
-					e.tr.Event("merge", e.workerID, merged.ID, merged.PC, "")
-				}
+				e.rec.merge(merged)
 				continue
 			}
 		}
@@ -110,11 +105,4 @@ func (e *Engine) mergeMemory(condA *expr.Expr, a, b *Memory) *Memory {
 		}
 	})
 	return m
-}
-
-func max[T int | int64](x, y T) T {
-	if x > y {
-		return x
-	}
-	return y
 }

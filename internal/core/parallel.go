@@ -28,8 +28,6 @@ import (
 	"time"
 
 	"repro/internal/expr"
-	"repro/internal/obs"
-	"repro/internal/profile"
 	"repro/internal/smt"
 )
 
@@ -129,35 +127,23 @@ type frontier struct {
 	strategy Strategy
 	rng      *rand.Rand
 	vt       *visitTable
-	maxLen   int
 	maxLive  int // MaxStates budget; pushes beyond it are killed
-	killed   int64
 
-	// Telemetry (nil-safe): queue depth gauge, kill counter, tracer and
-	// profiler. The profiler is the run-level aggregate (not a worker
-	// shard) because pushes race across workers; Profiler.Kill locks.
-	depth     *obs.Gauge
-	depthMax  *obs.Gauge
-	killedCtr *obs.Counter
-	tr        *obs.Tracer
-	prof      *profile.Profiler
-	prog      *Progress
+	// rec records the frontier's kills and depth into stats, under mu;
+	// the report folds them in with the workers' (trace worker -1).
+	rec   recorder
+	stats Stats
 }
 
-func newFrontier(workers int, o Options, vt *visitTable, m engineMetrics, tr *obs.Tracer, prof *profile.Profiler) *frontier {
+func newFrontier(workers int, o Options, vt *visitTable, rec *recorder) *frontier {
 	f := &frontier{
-		workers:   workers,
-		strategy:  o.Strategy,
-		rng:       rand.New(rand.NewSource(o.Seed + 1)),
-		vt:        vt,
-		maxLive:   o.MaxStates,
-		depth:     m.frontierDepth,
-		depthMax:  m.liveMax,
-		killedCtr: m.statesKilled,
-		tr:        tr,
-		prof:      prof,
-		prog:      o.Progress,
+		workers:  workers,
+		strategy: o.Strategy,
+		rng:      rand.New(rand.NewSource(o.Seed + 1)),
+		vt:       vt,
+		maxLive:  o.MaxStates,
 	}
+	f.rec = rec.worker(-1, &f.stats)
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -168,27 +154,17 @@ func (f *frontier) push(sts ...*State) {
 	f.mu.Lock()
 	for _, st := range sts {
 		if f.closed || len(f.items) >= f.maxLive {
-			f.killed++
-			f.killedCtr.Inc()
-			f.prof.Kill(st.PC)
-			if f.tr != nil {
-				reason := "max-states"
-				if f.closed {
-					reason = "run-stopped"
-				}
-				f.tr.Event("kill", -1, st.ID, st.PC, reason)
+			reason := "max-states"
+			if f.closed {
+				reason = "run-stopped"
 			}
+			f.rec.kill(st, reason)
 			continue
 		}
 		f.items = append(f.items, st)
 		f.cond.Signal()
 	}
-	if len(f.items) > f.maxLen {
-		f.maxLen = len(f.items)
-	}
-	f.depth.Set(int64(len(f.items)))
-	f.depthMax.Max(int64(f.maxLen))
-	f.prog.setFrontier(int64(len(f.items)))
+	f.rec.frontier(len(f.items))
 	f.mu.Unlock()
 }
 
@@ -256,8 +232,7 @@ func (f *frontier) take(home *expr.Builder) *State {
 	}
 	st := f.items[idx]
 	f.items = append(f.items[:idx], f.items[idx+1:]...)
-	f.depth.Set(int64(len(f.items)))
-	f.prog.setFrontier(int64(len(f.items)))
+	f.rec.frontier(len(f.items))
 	return st
 }
 
@@ -266,18 +241,9 @@ func (f *frontier) close() {
 	f.mu.Lock()
 	if !f.closed {
 		f.closed = true
-		f.killed += int64(len(f.items))
-		f.killedCtr.Add(int64(len(f.items)))
-		for _, st := range f.items {
-			f.prof.Kill(st.PC)
-		}
-		if f.tr != nil && len(f.items) > 0 {
-			f.tr.Event("kill", -1, -1, 0,
-				fmt.Sprintf("run-stopped (%d queued states)", len(f.items)))
-		}
+		f.rec.killAll(f.items, "run-stopped", "queued")
 		f.items = nil
-		f.depth.Set(0)
-		f.prog.setFrontier(0)
+		f.rec.frontier(0)
 		f.cond.Broadcast()
 	}
 	f.mu.Unlock()
@@ -344,28 +310,16 @@ func (e *Engine) workerEngine(i int, vt *visitTable, pr *parRun) *Engine {
 		inputNames: e.inputNames,
 		shVisits:   vt,
 		par:        pr,
-		workerID:   i,
-		m:          e.m,
-		tr:         e.tr,
 		cov:        e.cov,
 		inject:     e.inject,
-		profiler:   e.profiler,
-		prof:       e.profiler.NewShard(),
-		progress:   e.progress,
 	}
+	w.rec = e.rec.worker(i, &w.report.Stats)
 	w.Solver.MaxConflicts = e.Opts.MaxSolverConflicts
 	w.Solver.QueryDeadline = e.Opts.SolverDeadline
 	w.Solver.Cache = e.cache
 	w.Solver.Obs = e.Solver.Obs
 	w.Solver.Inject = e.inject
-	switch {
-	case w.prof != nil && w.progress != nil:
-		w.Solver.Prof = progressProf{shard: w.prof, prog: w.progress}
-	case w.prof != nil:
-		w.Solver.Prof = w.prof
-	case w.progress != nil:
-		w.Solver.Prof = progressProf{prog: w.progress}
-	}
+	w.Solver.Prof = w.rec.queryProf()
 	return w
 }
 
@@ -419,18 +373,13 @@ func (e *Engine) work(pr *parRun) {
 			return
 		}
 		t0 := time.Now()
-		burst := st.ID
+		burst, burstPC := st.ID, st.PC // st may be handed to another worker below
 		e.adopt(st)
 		cur := st
 		for cur != nil {
 			if pr.stopNow() {
 				pr.front.close()
-				e.report.Stats.StatesKilled++
-				e.m.statesKilled.Inc()
-				e.prof.Kill(cur.PC)
-				if e.tr != nil {
-					e.tr.Event("kill", e.workerID, cur.ID, cur.PC, "global-budget")
-				}
+				e.rec.kill(cur, "global-budget")
 				break
 			}
 			children, err := e.safeStep(cur)
@@ -452,9 +401,7 @@ func (e *Engine) work(pr *parRun) {
 			}
 		}
 		e.busy += time.Since(t0)
-		if e.tr != nil {
-			e.tr.Span("exec", e.workerID, burst, st.PC, t0, "")
-		}
+		e.rec.burst(burst, burstPC, t0)
 	}
 }
 
@@ -468,7 +415,7 @@ func (e *Engine) runParallel() (*Report, error) {
 	nw := e.Opts.Workers
 	vt := newVisitTable()
 	pr := &parRun{opts: e.Opts}
-	pr.front = newFrontier(nw, e.Opts, vt, e.m, e.tr, e.profiler)
+	pr.front = newFrontier(nw, e.Opts, vt, &e.rec)
 	if e.Opts.TimeBudget > 0 {
 		pr.deadline = t0.Add(e.Opts.TimeBudget)
 	}
@@ -495,7 +442,7 @@ func (e *Engine) runParallel() (*Report, error) {
 						Layer: layerOf(r, "sym"),
 						Msg:   fmt.Sprint(r),
 						Stack: stackTrace(),
-					})
+					}, nil)
 				}
 			}()
 			w.work(pr)
@@ -522,22 +469,11 @@ func (e *Engine) mergeWorkerReports(workers []*Engine, vt *visitTable, pr *parRu
 	var bugs []Bug
 	for _, w := range workers {
 		ws := w.report.Stats
-		s.Instructions += ws.Instructions
-		s.Forks += ws.Forks
-		s.Infeasible += ws.Infeasible
-		s.PathsDone += ws.PathsDone
-		s.StatesKilled += ws.StatesKilled
-		s.DecodeCalls += ws.DecodeCalls
-		s.Merges += ws.Merges
-		if ws.MaxDepth > s.MaxDepth {
-			s.MaxDepth = ws.MaxDepth
-		}
+		e.rec.add(&w.rec)
 		s.Solver.Add(w.Solver.Stats)
-		s.PathFaults += ws.PathFaults
-		s.Degraded.Add(ws.Degraded)
 		e.report.Faults = append(e.report.Faults, w.report.Faults...)
 		s.WorkerStats = append(s.WorkerStats, WorkerStat{
-			ID:     w.workerID,
+			ID:     w.rec.wid,
 			Steps:  ws.Instructions,
 			Paths:  ws.PathsDone,
 			Steals: w.steals,
@@ -546,12 +482,8 @@ func (e *Engine) mergeWorkerReports(workers []*Engine, vt *visitTable, pr *parRu
 		})
 		paths = append(paths, w.report.Paths...)
 		bugs = append(bugs, w.report.Bugs...)
-		e.profiler.Fold(w.prof)
 	}
-	pr.front.mu.Lock()
-	s.StatesKilled += int(pr.front.killed)
-	s.MaxLiveSet = pr.front.maxLen
-	pr.front.mu.Unlock()
+	e.rec.add(&pr.front.rec)
 	s.Coverage = vt.distinct()
 
 	// Canonical path order: the signature identifies the branch decisions

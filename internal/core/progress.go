@@ -1,22 +1,17 @@
 // Live run progress: a lock-free counter block a long exploration
 // updates in place so an observer (the symexd SSE stream, a TUI, a
 // watchdog) can snapshot the run while it is running, not only
-// post-mortem. The same bargain as Obs/Cover/Profile applies: a nil
-// *Progress disables everything and every record site costs one pointer
-// test; when armed, every update is a single atomic op, safe across
-// exploration workers without locks.
+// post-mortem. The engine's event recorder (record.go) is its only
+// writer: a nil *Progress costs nothing, and when armed every update is
+// a single atomic op, safe across exploration workers without locks.
 package core
 
-import (
-	"sync/atomic"
-	"time"
-
-	"repro/internal/profile"
-)
+import "sync/atomic"
 
 // Progress is the live view of one run. All fields are updated
-// atomically by the engine (serial loop, parallel workers and concolic
-// runs alike) and read via Snapshot; the zero value is ready to use.
+// atomically by the engine's recorder (serial loop, parallel workers and
+// concolic runs alike) and read via Snapshot; the zero value is ready to
+// use.
 type Progress struct {
 	instructions  atomic.Int64
 	paths         atomic.Int64
@@ -83,64 +78,3 @@ func (p *Progress) restore(s ProgressSnapshot) {
 // Reset zeroes every counter: a retry of the same job starts its live
 // view from scratch instead of double-counting the failed attempt.
 func (p *Progress) Reset() { p.restore(ProgressSnapshot{}) }
-
-func (p *Progress) incInstructions() {
-	if p != nil {
-		p.instructions.Add(1)
-	}
-}
-
-func (p *Progress) addPaths(n int64) {
-	if p != nil {
-		p.paths.Add(n)
-	}
-}
-
-func (p *Progress) addForks(n int64) {
-	if p != nil {
-		p.forks.Add(n)
-	}
-}
-
-func (p *Progress) setFrontier(n int64) {
-	if p != nil {
-		p.frontier.Store(n)
-	}
-}
-
-func (p *Progress) incCovered() {
-	if p != nil {
-		p.covered.Add(1)
-	}
-}
-
-func (p *Progress) incDegraded() {
-	if p != nil {
-		p.degraded.Add(1)
-	}
-}
-
-func (p *Progress) solverQuery(d time.Duration, cacheHit bool) {
-	if p == nil {
-		return
-	}
-	p.solverNS.Add(int64(d))
-	p.solverQueries.Add(1)
-	if cacheHit {
-		p.cacheHits.Add(1)
-	}
-}
-
-// progressProf fans the solver's per-query profiling callback out to
-// the worker's profile shard (when profiling is on) and the run's live
-// progress counters (when a Progress is attached). Shard methods are
-// nil-safe, so a nil shard simply drops that arm.
-type progressProf struct {
-	shard *profile.Shard
-	prog  *Progress
-}
-
-func (q progressProf) Query(d time.Duration, cacheHit bool) {
-	q.shard.Query(d, cacheHit)
-	q.prog.solverQuery(d, cacheHit)
-}

@@ -37,7 +37,7 @@ func (e *Engine) ReplayConcrete(input []byte) (*Replay, error) {
 	st := e.initialState()
 	e.concEnv = env
 	defer func() { e.concEnv = nil }()
-	defer e.profiler.Fold(e.prof)
+	defer e.rec.fold()
 
 	for {
 		prevLen := len(st.PathCond)

@@ -262,7 +262,6 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 	e.report = Report{
 		Bugs:   append([]Bug(nil), s.Bugs...),
 		Faults: append([]PathFault(nil), s.Faults...),
-		Stats:  s.Stats,
 	}
 	for _, p := range s.Paths {
 		cond, err := gets(p.Cond)
@@ -351,19 +350,7 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 			home:       e.B,
 		})
 	}
-	// Seed the live-progress counters so mid-run observers see
-	// run-cumulative values rather than post-crash deltas.
-	e.progress.restore(ProgressSnapshot{
-		Instructions:  s.Stats.Instructions,
-		Paths:         int64(s.Stats.PathsDone),
-		Forks:         s.Stats.Forks,
-		Frontier:      int64(len(live)),
-		Covered:       int64(len(e.visits)),
-		Degraded:      s.Stats.Degraded.Total(),
-		SolverNS:      int64(s.Stats.Solver.SolveTime),
-		SolverQueries: s.Stats.Solver.Queries,
-		CacheHits:     s.Stats.Solver.CacheHits,
-	})
+	e.rec.resume(s.Stats, len(live), len(e.visits))
 	return live, nil
 }
 

@@ -265,9 +265,9 @@ func (m *Memory) Write(b *expr.Builder, addr uint64, cells uint, val *expr.Expr,
 	}
 }
 
-// ConcreteFetch reads cells raw bytes for instruction decoding. Overlaid
-// (symbolically written) code bytes must be constant; self-modifying code
-// with symbolic bytes is rejected by the engine before calling this.
+// ConcreteFetch reads n raw bytes for instruction decoding. Overlaid
+// (written) code bytes must be constant: ok is false when one is
+// symbolic.
 func (m *Memory) ConcreteFetch(addr uint64, n int) ([]byte, bool) {
 	out := make([]byte, n)
 	for i := 0; i < n; i++ {
@@ -282,4 +282,15 @@ func (m *Memory) ConcreteFetch(addr uint64, n int) ([]byte, bool) {
 		out[i] = m.base[a]
 	}
 	return out, true
+}
+
+// imageFetch reads n bytes at addr from the base image, ignoring the
+// overlay: the bytes every state shares, which the compile cache
+// decodes.
+func (m *Memory) imageFetch(addr uint64, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = m.base[(addr+uint64(i))&m.mask]
+	}
+	return out
 }

@@ -126,6 +126,39 @@ func (d *Decoder) Decode(mem []byte) (Decoded, error) {
 	return Decoded{}, &ErrNoMatch{Bytes: mem[:n]}
 }
 
+// Window returns how many leading bytes of mem the decode dec depends
+// on, where mem holds the bytes dec was decoded from. That is dec.Len,
+// unless a longer encoding agrees with those bytes and could still match
+// if a later byte changed: longer encodings are preferred, so then the
+// longest such encoding's length. A byte past the window cannot change
+// the decode.
+func (d *Decoder) Window(mem []byte, dec Decoded) int {
+	for _, g := range d.groups { // longest first
+		if g.bytes <= dec.Len || len(mem) < g.bytes {
+			continue
+		}
+		known := make([]byte, g.bytes)
+		for i := 0; i < dec.Len; i++ {
+			known[i] = 0xff
+		}
+		km, w := d.word(known), d.word(mem[:g.bytes])
+		agrees := func(ins *adl.Insn) bool { return (w^ins.Match)&ins.Mask&km == 0 }
+		for _, ins := range g.linear {
+			if agrees(ins) {
+				return g.bytes
+			}
+		}
+		for _, insns := range g.byIdx {
+			for _, ins := range insns {
+				if agrees(ins) {
+					return g.bytes
+				}
+			}
+		}
+	}
+	return dec.Len
+}
+
 func (d *Decoder) match(candidates []*adl.Insn, w uint64, n int) (Decoded, bool) {
 	for _, ins := range candidates {
 		if w&ins.Mask == ins.Match {

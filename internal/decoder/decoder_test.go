@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/arch"
+	"repro/internal/adl"
 	"repro/internal/asm"
 	"repro/internal/decoder"
 )
@@ -210,5 +211,55 @@ func TestDecodeShortBuffer(t *testing.T) {
 	}
 	if _, err := d.Decode([]byte{0x00}); err == nil {
 		t.Error("1-byte buffer decoded on a 16-bit-min ISA")
+	}
+}
+
+// TestWindow: a decode depends on its own bytes only, unless a longer
+// encoding agrees with them — then a later byte can still flip the
+// decode to the longer form, and the window covers it.
+func TestWindow(t *testing.T) {
+	a, err := adl.Load("window.adl", `
+arch w
+bits 16
+endian big
+reg g0 .. g3 : 16
+reg pc : 16 [pc]
+space mem : addr 16 cell 8
+format S : 16 { op:8, x:8 }
+format L : 32 { op:8, x:8, sub:8, y:8 }
+insn short : S(op = 1) "short %x" { g0 = g0; }
+insn other : S(op = 2) "other %x" { g0 = g0; }
+insn long : L(op = 1, sub = 0xaa) "long %x, %y" { g0 = g0; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := decoder.New(a)
+	for _, tc := range []struct {
+		mem        []byte
+		name       string
+		len, width int
+	}{
+		{[]byte{1, 5, 0, 0}, "short", 2, 4},    // byte 2 = 0xaa would decode as long
+		{[]byte{2, 5, 0xaa, 0}, "other", 2, 2}, // no longer encoding starts with op 2
+		{[]byte{1, 5, 0xaa, 7}, "long", 4, 4},
+	} {
+		dec, err := d.Decode(tc.mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Insn.Mnemonic != tc.name || dec.Len != tc.len {
+			t.Fatalf("% x: decoded %s len %d, want %s len %d", tc.mem, dec.Insn.Mnemonic, dec.Len, tc.name, tc.len)
+		}
+		if got := d.Window(tc.mem, dec); got != tc.width {
+			t.Errorf("% x: Window = %d, want %d", tc.mem, got, tc.width)
+		}
+	}
+	// m16's short forms fix their opcode byte, which no 32-bit form
+	// shares: a 16-bit instruction's window is its own two bytes.
+	m := decoder.New(arch.MustLoad("m16"))
+	mem := append(encodeOne(t, "m16", "halt"), 0xff, 0xff)
+	if dec, err := m.Decode(mem); err != nil || m.Window(mem, dec) != 2 {
+		t.Errorf("m16 halt: window %d (%v), want 2", m.Window(mem, dec), err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -41,11 +40,9 @@ type CheckpointOverhead struct {
 }
 
 // RunCheckpointOverhead interleaves checkpoint-free and checkpointing
-// serial explorations of the same fork-heavy workloads and reports
-// median wall times. Mirrors RunProgressOverhead's protocol: one
-// warmup, 15 alternating reps, medians compared.
+// serial explorations of the same fork-heavy workloads through
+// abMedians and reports median wall times.
 func RunCheckpointOverhead() CheckpointOverhead {
-	const reps = 15
 	workloads := []struct{ name, arch, src string }{
 		{"ladder13/tiny32", "tiny32", BranchLadder("tiny32", 13)},
 		{"ladder13/rv32i", "rv32i", BranchLadder("rv32i", 13)},
@@ -62,13 +59,9 @@ func RunCheckpointOverhead() CheckpointOverhead {
 		for _, iv := range intervals {
 			a, p := mustBuild(wl.arch, wl.src)
 			ckpt := filepath.Join(scratch, "job.ckpt")
-			run := func(on bool) (time.Duration, int, int) {
-				opts := core.Options{
-					InputBytes: 13,
-					MaxPaths:   1 << 13,
-					Workers:    1,
-				}
-				writes := 0
+			row := CheckpointOverheadRow{Workload: wl.name, Interval: iv}
+			row.WallOff, row.WallOn, row.Overhead = abMedians(15, func(on bool) time.Duration {
+				opts := core.Options{InputBytes: 13, MaxPaths: 1 << 13, Workers: 1}
 				if on {
 					opts.CheckpointEvery = iv
 					opts.Checkpoint = func(snap *core.Snapshot) {
@@ -83,44 +76,13 @@ func RunCheckpointOverhead() CheckpointOverhead {
 						if rerr := os.Rename(tmp, ckpt); rerr != nil {
 							panic(fmt.Sprintf("harness: checkpoint overhead: %v", rerr))
 						}
-						writes++
+						row.Writes++
 					}
 				}
-				e := core.NewEngine(a, p, opts)
-				r, rerr := e.Run()
-				if rerr != nil {
-					panic(fmt.Sprintf("harness: checkpoint overhead: %v", rerr))
-				}
-				return r.Stats.WallTime, len(r.Paths), writes
-			}
-			run(false) // warmup: cold caches hit the unmeasured run
-			var offs, ons []time.Duration
-			paths, writes := 0, 0
-			for rep := 0; rep < reps; rep++ {
-				var off, on time.Duration
-				var n, w int
-				if rep%2 == 0 {
-					off, n, _ = run(false)
-					on, _, w = run(true)
-				} else {
-					on, _, w = run(true)
-					off, n, _ = run(false)
-				}
-				offs = append(offs, off)
-				ons = append(ons, on)
-				paths = n
-				writes += w
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			medOff, medOn := offs[reps/2], ons[reps/2]
-			row := CheckpointOverheadRow{
-				Workload: wl.name, Interval: iv, Paths: paths,
-				Writes: writes, WallOff: medOff, WallOn: medOn,
-			}
-			if medOff > 0 {
-				row.Overhead = float64(medOn-medOff) / float64(medOff)
-			}
+				r := mustRun("checkpoint overhead", a, p, opts)
+				row.Paths = len(r.Paths)
+				return r.Stats.WallTime
+			})
 			t.Rows = append(t.Rows, row)
 		}
 	}

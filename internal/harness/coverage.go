@@ -69,9 +69,9 @@ type CoverOverheadRow struct {
 	Workload string
 	Workers  int
 	Paths    int
-	WallOff  time.Duration // best rep with Options.Cover == nil
-	WallOn   time.Duration // best rep with Options.Cover == cover.New()
-	Overhead float64       // from the summed interleaved reps, not the bests
+	WallOff  time.Duration // median rep with Options.Cover == nil
+	WallOn   time.Duration // median rep with Options.Cover == cover.New()
+	Overhead float64       // median-vs-median (abMedians)
 }
 
 // CoverOverhead is the coverage-on vs coverage-off experiment.
@@ -80,55 +80,24 @@ type CoverOverhead struct {
 }
 
 // RunCoverOverhead reruns the parallel-scaling workloads with the
-// coverage collector detached and attached, using the same interleaved
-// methodology as RunObsOverhead so host noise hits both sides equally.
+// coverage collector detached and attached, interleaved by abMedians.
 // The collector is a few atomic adds per instruction, so the acceptance
 // bar is the same <=3% as the metrics registry (see EXPERIMENTS.md).
 func RunCoverOverhead(workerCounts []int) CoverOverhead {
-	const reps = 9
 	var t CoverOverhead
 	for _, wl := range parallelWorkloads() {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
-			run := func(coll *cover.Collector) (time.Duration, int) {
-				e := core.NewEngine(a, p, core.Options{
-					InputBytes: 10,
-					MaxPaths:   1 << 11,
-					Workers:    nw,
-					Cover:      coll,
-				})
-				r, err := e.Run()
-				if err != nil {
-					panic(fmt.Sprintf("harness: cover overhead: %v", err))
+			row := CoverOverheadRow{Workload: wl.name, Workers: nw}
+			row.WallOff, row.WallOn, row.Overhead = abMedians(9, func(on bool) time.Duration {
+				opts := core.Options{InputBytes: 10, MaxPaths: 1 << 11, Workers: nw}
+				if on {
+					opts.Cover = cover.New()
 				}
-				return r.Stats.WallTime, len(r.Paths)
-			}
-			// Interleave the off/on repetitions and compare summed times;
-			// one unmeasured warmup run absorbs cold caches (see
-			// RunObsOverhead for the rationale).
-			run(nil)
-			var sumOff, sumOn, wallOff, wallOn time.Duration
-			paths := 0
-			for rep := 0; rep < reps; rep++ {
-				off, n := run(nil)
-				on, _ := run(cover.New())
-				sumOff += off
-				sumOn += on
-				if wallOff == 0 || off < wallOff {
-					wallOff = off
-				}
-				if wallOn == 0 || on < wallOn {
-					wallOn = on
-				}
-				paths = n
-			}
-			row := CoverOverheadRow{
-				Workload: wl.name, Workers: nw, Paths: paths,
-				WallOff: wallOff, WallOn: wallOn,
-			}
-			if sumOff > 0 {
-				row.Overhead = float64(sumOn-sumOff) / float64(sumOff)
-			}
+				r := mustRun("cover overhead", a, p, opts)
+				row.Paths = len(r.Paths)
+				return r.Stats.WallTime
+			})
 			t.Rows = append(t.Rows, row)
 		}
 	}

@@ -19,9 +19,9 @@ type GovernorOverheadRow struct {
 	Workload string
 	Workers  int
 	Paths    int
-	WallOff  time.Duration // best rep with no deadline or term budget
-	WallOn   time.Duration // best rep with SolverDeadline + MaxStateTerms armed
-	Overhead float64       // from the summed interleaved reps, not the bests
+	WallOff  time.Duration // median rep with no deadline or term budget
+	WallOn   time.Duration // median rep with SolverDeadline + MaxStateTerms armed
+	Overhead float64       // median-vs-median (abMedians)
 }
 
 // GovernorOverhead is the governor-armed vs governor-off experiment.
@@ -32,62 +32,29 @@ type GovernorOverhead struct {
 // RunGovernorOverhead reruns the parallel-scaling workloads with the
 // resource governor disarmed and armed with limits far above what the
 // workloads use, so every deadline check and term count is paid and no
-// degradation ever fires. The recover boundary itself runs on both
-// sides (it is unconditional), so the measured delta is the governor's
-// bookkeeping. The acceptance bar is <=3% (see EXPERIMENTS.md).
+// degradation ever fires; abMedians interleaves the two. The recover
+// boundary itself runs on both sides (it is unconditional), so the
+// measured delta is the governor's bookkeeping. The acceptance bar is
+// <=3% (see EXPERIMENTS.md).
 func RunGovernorOverhead(workerCounts []int) GovernorOverhead {
-	const reps = 9
 	var t GovernorOverhead
 	for _, wl := range parallelWorkloads() {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
-			run := func(armed bool) (time.Duration, int) {
-				opts := core.Options{
-					InputBytes: 10,
-					MaxPaths:   1 << 11,
-					Workers:    nw,
-				}
+			row := GovernorOverheadRow{Workload: wl.name, Workers: nw}
+			row.WallOff, row.WallOn, row.Overhead = abMedians(9, func(armed bool) time.Duration {
+				opts := core.Options{InputBytes: 10, MaxPaths: 1 << 11, Workers: nw}
 				if armed {
 					opts.SolverDeadline = 5 * time.Second
 					opts.MaxStateTerms = 100000
 				}
-				e := core.NewEngine(a, p, opts)
-				r, err := e.Run()
-				if err != nil {
-					panic(fmt.Sprintf("harness: governor overhead: %v", err))
-				}
+				r := mustRun("governor overhead", a, p, opts)
 				if r.Stats.Degraded.Total() != 0 {
 					panic("harness: governor overhead: generous limits degraded — the off/on runs are not comparable")
 				}
-				return r.Stats.WallTime, len(r.Paths)
-			}
-			// Interleave the off/armed repetitions so frequency scaling
-			// and scheduler noise hit both sides equally, and compare the
-			// summed times (see RunObsOverhead). One unmeasured warmup run
-			// absorbs cold caches.
-			run(false)
-			var sumOff, sumOn, wallOff, wallOn time.Duration
-			paths := 0
-			for rep := 0; rep < reps; rep++ {
-				off, n := run(false)
-				on, _ := run(true)
-				sumOff += off
-				sumOn += on
-				if wallOff == 0 || off < wallOff {
-					wallOff = off
-				}
-				if wallOn == 0 || on < wallOn {
-					wallOn = on
-				}
-				paths = n
-			}
-			row := GovernorOverheadRow{
-				Workload: wl.name, Workers: nw, Paths: paths,
-				WallOff: wallOff, WallOn: wallOn,
-			}
-			if sumOff > 0 {
-				row.Overhead = float64(sumOn-sumOff) / float64(sumOff)
-			}
+				row.Paths = len(r.Paths)
+				return r.Stats.WallTime
+			})
 			t.Rows = append(t.Rows, row)
 		}
 	}

@@ -145,10 +145,8 @@ type ProgressOverhead struct {
 // counters: the armed side runs with a Progress block attached, a
 // background sampler reading a snapshot every 250ms (the symexd SSE
 // default), and one ledger append per run into a scratch dir — the full
-// per-run cost the daemon pays. Interleaved repetitions, median wall
-// times.
+// per-run cost the daemon pays. abMedians interleaves the two sides.
 func RunProgressOverhead(workerCounts []int) ProgressOverhead {
-	const reps = 15
 	workloads := []struct{ name, arch, src string }{
 		{"ladder12/tiny32", "tiny32", BranchLadder("tiny32", 12)},
 		{"ladder12/rv32i", "rv32i", BranchLadder("rv32i", 12)},
@@ -168,18 +166,13 @@ func RunProgressOverhead(workerCounts []int) ProgressOverhead {
 	for _, wl := range workloads {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
-			run := func(prog *core.Progress) (time.Duration, int, int) {
-				e := core.NewEngine(a, p, core.Options{
-					InputBytes: 12,
-					MaxPaths:   1 << 13,
-					Workers:    nw,
-					Progress:   prog,
-				})
-				samples := 0
-				var stop chan struct{}
-				var done chan struct{}
-				if prog != nil {
-					stop, done = make(chan struct{}), make(chan struct{})
+			row := ProgressOverheadRow{Workload: wl.name, Workers: nw}
+			row.WallOff, row.WallOn, row.Overhead = abMedians(15, func(on bool) time.Duration {
+				opts := core.Options{InputBytes: 12, MaxPaths: 1 << 13, Workers: nw}
+				stop, done := make(chan struct{}), make(chan struct{})
+				if on {
+					prog := &core.Progress{}
+					opts.Progress = prog
 					go func() {
 						defer close(done)
 						tk := time.NewTicker(250 * time.Millisecond)
@@ -188,60 +181,31 @@ func RunProgressOverhead(workerCounts []int) ProgressOverhead {
 							select {
 							case <-tk.C:
 								_ = prog.Snapshot()
-								samples++
+								row.Samples++
 							case <-stop:
 								return
 							}
 						}
 					}()
 				}
-				r, err := e.Run()
-				if prog != nil {
-					close(stop)
-					<-done
-					rec := ledger.Build(ledger.BuildInput{
-						Source: "experiments", Label: wl.name,
-						Digest: ledger.Digest(wl.arch, []byte(wl.src), fmt.Sprintf("workers=%d", nw)),
-						ISA:    wl.arch, Mode: "explore", Workers: nw, Stats: r.Stats,
-						Now: time.Now(),
-					})
-					if aerr := led.Append(rec); aerr != nil {
-						panic(fmt.Sprintf("harness: progress overhead: %v", aerr))
-					}
+				r := mustRun("progress overhead", a, p, opts)
+				row.Paths = len(r.Paths)
+				if !on {
+					return r.Stats.WallTime
 				}
-				if err != nil {
-					panic(fmt.Sprintf("harness: progress overhead: %v", err))
+				close(stop)
+				<-done
+				rec := ledger.Build(ledger.BuildInput{
+					Source: "experiments", Label: wl.name,
+					Digest: ledger.Digest(wl.arch, []byte(wl.src), fmt.Sprintf("workers=%d", nw)),
+					ISA:    wl.arch, Mode: "explore", Workers: nw, Stats: r.Stats,
+					Now: time.Now(),
+				})
+				if aerr := led.Append(rec); aerr != nil {
+					panic(fmt.Sprintf("harness: progress overhead: %v", aerr))
 				}
-				return r.Stats.WallTime, len(r.Paths), samples
-			}
-			run(nil) // warmup: cold caches hit the unmeasured run
-			var offs, ons []time.Duration
-			paths, samples := 0, 0
-			for rep := 0; rep < reps; rep++ {
-				var off, on time.Duration
-				var n, sm int
-				if rep%2 == 0 {
-					off, n, _ = run(nil)
-					on, _, sm = run(&core.Progress{})
-				} else {
-					on, _, sm = run(&core.Progress{})
-					off, n, _ = run(nil)
-				}
-				offs = append(offs, off)
-				ons = append(ons, on)
-				paths = n
-				samples += sm
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			medOff, medOn := offs[reps/2], ons[reps/2]
-			row := ProgressOverheadRow{
-				Workload: wl.name, Workers: nw, Paths: paths,
-				WallOff: medOff, WallOn: medOn, Samples: samples,
-			}
-			if medOff > 0 {
-				row.Overhead = float64(medOn-medOff) / float64(medOff)
-			}
+				return r.Stats.WallTime
+			})
 			t.Rows = append(t.Rows, row)
 		}
 	}

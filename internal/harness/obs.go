@@ -17,9 +17,9 @@ type ObsOverheadRow struct {
 	Workload string
 	Workers  int
 	Paths    int
-	WallOff  time.Duration // best rep with Options.Obs == nil
-	WallOn   time.Duration // best rep with Options.Obs == obs.New() (metrics, no tracer)
-	Overhead float64       // from the summed interleaved reps, not the bests
+	WallOff  time.Duration // median rep with Options.Obs == nil
+	WallOn   time.Duration // median rep with Options.Obs == obs.New() (metrics, no tracer)
+	Overhead float64       // median-vs-median (abMedians)
 }
 
 // ObsOverhead is the metrics-on vs metrics-off experiment.
@@ -28,58 +28,25 @@ type ObsOverhead struct {
 }
 
 // RunObsOverhead reruns the parallel-scaling workloads with telemetry
-// disabled and with the metrics registry attached, keeping the fastest
-// of several repetitions per configuration. The registry is expected to
-// cost low single-digit percent (the acceptance bar is <=3% on the
-// fork-heavy workloads; see EXPERIMENTS.md).
+// disabled and with the metrics registry attached, interleaved by
+// abMedians. The registry is expected to cost low single-digit percent
+// (the acceptance bar is <=3% on the fork-heavy workloads; see
+// EXPERIMENTS.md).
 func RunObsOverhead(workerCounts []int) ObsOverhead {
-	const reps = 9
 	var t ObsOverhead
 	for _, wl := range parallelWorkloads() {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
-			run := func(o *obs.Obs) (time.Duration, int) {
-				e := core.NewEngine(a, p, core.Options{
-					InputBytes: 10,
-					MaxPaths:   1 << 11,
-					Workers:    nw,
-					Obs:        o,
-				})
-				r, err := e.Run()
-				if err != nil {
-					panic(fmt.Sprintf("harness: obs overhead: %v", err))
+			row := ObsOverheadRow{Workload: wl.name, Workers: nw}
+			row.WallOff, row.WallOn, row.Overhead = abMedians(9, func(on bool) time.Duration {
+				opts := core.Options{InputBytes: 10, MaxPaths: 1 << 11, Workers: nw}
+				if on {
+					opts.Obs = obs.New()
 				}
-				return r.Stats.WallTime, len(r.Paths)
-			}
-			// Interleave the off/on repetitions so frequency scaling and
-			// scheduler noise hit both sides equally, and compare the
-			// summed times: with alternating runs a slow phase of the
-			// host biases both sums alike, where min-of-N can be thrown
-			// off by one lucky run. One unmeasured warmup run absorbs
-			// cold caches.
-			run(nil)
-			var sumOff, sumOn, wallOff, wallOn time.Duration
-			paths := 0
-			for rep := 0; rep < reps; rep++ {
-				off, n := run(nil)
-				on, _ := run(obs.New())
-				sumOff += off
-				sumOn += on
-				if wallOff == 0 || off < wallOff {
-					wallOff = off
-				}
-				if wallOn == 0 || on < wallOn {
-					wallOn = on
-				}
-				paths = n
-			}
-			row := ObsOverheadRow{
-				Workload: wl.name, Workers: nw, Paths: paths,
-				WallOff: wallOff, WallOn: wallOn,
-			}
-			if sumOff > 0 {
-				row.Overhead = float64(sumOn-sumOff) / float64(sumOff)
-			}
+				r := mustRun("obs overhead", a, p, opts)
+				row.Paths = len(r.Paths)
+				return r.Stats.WallTime
+			})
 			t.Rows = append(t.Rows, row)
 		}
 	}

@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -23,7 +22,7 @@ type ProfileOverheadRow struct {
 	Paths    int
 	WallOff  time.Duration // median rep with Options.Profile == nil
 	WallOn   time.Duration // median rep with a fresh profiler attached
-	Overhead float64       // median-vs-median; robust to one noisy rep
+	Overhead float64       // median-vs-median (abMedians)
 	PCs      int           // distinct guest PCs attributed (sanity: > 0)
 }
 
@@ -33,14 +32,11 @@ type ProfileOverhead struct {
 }
 
 // RunProfileOverhead runs fork-heavy branch ladders with the
-// exploration profiler disabled and armed, interleaving the
-// repetitions like RunObsOverhead so host noise hits both sides alike,
-// and comparing medians so a single noisy rep cannot swing the figure.
-// The ladders are two steps deeper than the parallel-scaling ones:
-// each measured run lasts hundreds of milliseconds, without which
-// scheduler jitter on a shared host swamps a low-percent signal.
+// exploration profiler disabled and armed, interleaved by abMedians.
+// The ladders are two steps deeper than the parallel-scaling ones: each
+// measured run lasts hundreds of milliseconds, without which scheduler
+// jitter on a shared host swamps a low-percent signal.
 func RunProfileOverhead(workerCounts []int) ProfileOverhead {
-	const reps = 15
 	workloads := []struct{ name, arch, src string }{
 		{"ladder12/tiny32", "tiny32", BranchLadder("tiny32", 12)},
 		{"ladder12/rv32i", "rv32i", BranchLadder("rv32i", 12)},
@@ -49,50 +45,19 @@ func RunProfileOverhead(workerCounts []int) ProfileOverhead {
 	for _, wl := range workloads {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
-			run := func(prof *profile.Profiler) (time.Duration, int) {
-				e := core.NewEngine(a, p, core.Options{
-					InputBytes: 12,
-					MaxPaths:   1 << 13,
-					Workers:    nw,
-					Profile:    prof,
-				})
-				r, err := e.Run()
-				if err != nil {
-					panic(fmt.Sprintf("harness: profile overhead: %v", err))
+			row := ProfileOverheadRow{Workload: wl.name, Workers: nw}
+			row.WallOff, row.WallOn, row.Overhead = abMedians(15, func(on bool) time.Duration {
+				opts := core.Options{InputBytes: 12, MaxPaths: 1 << 13, Workers: nw}
+				if on {
+					opts.Profile = profile.New(profile.Meta{ADL: wl.arch})
 				}
-				return r.Stats.WallTime, len(r.Paths)
-			}
-			run(nil) // warmup: cold caches hit the unmeasured run
-			var offs, ons []time.Duration
-			paths, pcs := 0, 0
-			for rep := 0; rep < reps; rep++ {
-				// Alternate which side runs first so slow host drift
-				// within a pair cancels instead of biasing one side.
-				prof := profile.New(profile.Meta{ADL: wl.arch})
-				var off, on time.Duration
-				var n int
-				if rep%2 == 0 {
-					off, n = run(nil)
-					on, _ = run(prof)
-				} else {
-					on, _ = run(prof)
-					off, n = run(nil)
+				r := mustRun("profile overhead", a, p, opts)
+				if on {
+					row.PCs = len(opts.Profile.Snapshot().PCs)
 				}
-				pcs = len(prof.Snapshot().PCs)
-				offs = append(offs, off)
-				ons = append(ons, on)
-				paths = n
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			medOff, medOn := offs[reps/2], ons[reps/2]
-			row := ProfileOverheadRow{
-				Workload: wl.name, Workers: nw, Paths: paths,
-				WallOff: medOff, WallOn: medOn, PCs: pcs,
-			}
-			if medOff > 0 {
-				row.Overhead = float64(medOn-medOff) / float64(medOff)
-			}
+				row.Paths = len(r.Paths)
+				return r.Stats.WallTime
+			})
 			t.Rows = append(t.Rows, row)
 		}
 	}

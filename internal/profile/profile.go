@@ -27,9 +27,9 @@ import (
 	"time"
 )
 
-// stepSample is the per-shard sampling interval for step wall time:
-// one in stepSample steps is timed and recorded scaled by stepSample,
-// matching core.StepSampleRate so profiled step time stays comparable
+// stepSample is the sampling interval of step wall time: the engine
+// times one in stepSample steps (core.StepSampleRate) and StepTime
+// scales each reading back up, so profiled step time stays comparable
 // to the obs stage histograms.
 const stepSample = 8
 
@@ -191,23 +191,6 @@ func (p *Profiler) Absorb(o *Profiler) {
 	p.mu.Unlock()
 }
 
-// Kill records a state killed at pc directly on the profiler, under
-// the lock. The shared parallel frontier kills states outside any
-// worker's shard context, so it gets the synchronized entry point.
-func (p *Profiler) Kill(pc uint64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	dst, ok := p.pcs[pc]
-	if !ok {
-		dst = &PCStats{}
-		p.pcs[pc] = dst
-	}
-	dst.Kills++
-	p.mu.Unlock()
-}
-
 // Snapshot deep-copies the folded profile for rendering.
 type Snapshot struct {
 	Meta   Meta
@@ -250,7 +233,6 @@ type Shard struct {
 	causes map[string]int64
 	blocks map[any]*blockAgg
 	curPC  uint64 // PC of the state being stepped; solver queries attribute here
-	tick   uint64 // step-time sampling counter
 }
 
 // BlockUnit is one unit of a compiled superblock, precomputed by the
@@ -350,19 +332,9 @@ func (s *Shard) drain() {
 	}
 }
 
-// SampleStep reports whether this step's wall time should be measured
-// (one in stepSample); record the result with StepTime.
-func (s *Shard) SampleStep() bool {
-	if s == nil {
-		return false
-	}
-	s.tick++
-	return s.tick%stepSample == 0
-}
-
-// StepTime records a sampled step duration, scaled back up by the
-// sampling interval. Superblock steps attribute the whole block to its
-// head PC.
+// StepTime records a step duration sampled one in stepSample steps by
+// the caller, scaled back up by the sampling interval. Superblock steps
+// attribute the whole block to its head PC.
 func (s *Shard) StepTime(pc uint64, d time.Duration) {
 	if s == nil {
 		return

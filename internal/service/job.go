@@ -421,9 +421,8 @@ func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
 	j.mu.Lock()
 	cs := rep.Stats
 	cs.Coverage = rep.Coverage
-	cs.PathsDone = len(rep.Paths) // the concolic loop doesn't count paths
 	if cs.WallTime == 0 {
-		cs.WallTime = time.Since(t0) // ... nor self-time
+		cs.WallTime = time.Since(t0) // the concolic loop doesn't time itself
 	}
 	j.coreStats = &cs
 	j.mu.Unlock()
