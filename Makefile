@@ -57,6 +57,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzExprCompile -fuzztime=5s ./internal/minic
 	go test -run='^$$' -fuzz=FuzzDifferentialTiny32 -fuzztime=5s ./internal/core
 	go test -run='^$$' -fuzz=FuzzExprWireRoundTrip -fuzztime=5s ./internal/expr
+	go test -run='^$$' -fuzz=FuzzSolverAgainstEval -fuzztime=5s ./internal/smt
 
 # Differential oracle (docs/difftest.md): CI smoke with a fixed seed,
 # and a longer soak for local use.

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"slices"
+	"syscall"
 	"time"
 
 	"repro/internal/adl"
@@ -12,30 +13,44 @@ import (
 
 // abMedians is the interleaved A/B protocol every overhead experiment
 // shares. One unmeasured warmup run of the off side absorbs cold caches.
-// Then reps pairs alternate which side runs first, so slow host drift
-// within a pair cancels instead of biasing one side, and the two sides'
-// median wall times are compared, so one noisy rep cannot swing the
-// figure. run executes one side and returns its wall time.
-func abMedians(reps int, run func(on bool) time.Duration) (off, on time.Duration, overhead float64) {
+// Then each of reps rounds runs the off side, the on side and the off
+// side again, rotating which goes first, so slow host drift within a
+// round cancels instead of biasing one side. Each run is charged the
+// process CPU time it costs (user + system, every thread), which,
+// unlike wall time, waiting for a shared host's CPU does not inflate.
+// The sides' medians are compared, so one noisy run cannot swing the
+// figure: overhead is on vs off, and floor is the second off side vs
+// the first, the A/A noise an overhead has to clear to mean anything.
+func abMedians(reps int, run func(on bool)) (off, on time.Duration, overhead, floor float64) {
 	run(false)
-	offs := make([]time.Duration, 0, reps)
-	ons := make([]time.Duration, 0, reps)
+	var sides [3][]time.Duration // off, on, off again
 	for rep := 0; rep < reps; rep++ {
-		if rep%2 == 0 {
-			offs = append(offs, run(false))
-			ons = append(ons, run(true))
-		} else {
-			ons = append(ons, run(true))
-			offs = append(offs, run(false))
+		for k := 0; k < 3; k++ {
+			side := (rep + k) % 3
+			t0 := processCPU()
+			run(side == 1)
+			sides[side] = append(sides[side], processCPU()-t0)
 		}
 	}
-	slices.Sort(offs)
-	slices.Sort(ons)
-	off, on = offs[reps/2], ons[reps/2]
+	med := func(d []time.Duration) time.Duration {
+		slices.Sort(d)
+		return d[len(d)/2]
+	}
+	off, on, again := med(sides[0]), med(sides[1]), med(sides[2])
 	if off > 0 {
 		overhead = float64(on-off) / float64(off)
+		floor = float64(again-off) / float64(off)
 	}
-	return off, on, overhead
+	return off, on, overhead, floor
+}
+
+// processCPU returns the CPU time this process has used so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(fmt.Sprintf("harness: getrusage: %v", err))
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // mustRun explores p with opts, panicking on an engine error; what

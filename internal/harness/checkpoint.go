@@ -28,9 +28,10 @@ type CheckpointOverheadRow struct {
 	Interval time.Duration
 	Paths    int
 	Writes   int // checkpoint files written across all on-reps
-	WallOff  time.Duration
-	WallOn   time.Duration
+	CPUOff   time.Duration
+	CPUOn    time.Duration
 	Overhead float64 // (on-off)/off, medians
+	Floor    float64 // A/A: off vs off, the noise floor of Overhead (abMedians)
 }
 
 // CheckpointOverhead is the checkpoints-on vs checkpoints-off
@@ -41,7 +42,7 @@ type CheckpointOverhead struct {
 
 // RunCheckpointOverhead interleaves checkpoint-free and checkpointing
 // serial explorations of the same fork-heavy workloads through
-// abMedians and reports median wall times.
+// abMedians and reports median CPU times.
 func RunCheckpointOverhead() CheckpointOverhead {
 	workloads := []struct{ name, arch, src string }{
 		{"ladder13/tiny32", "tiny32", BranchLadder("tiny32", 13)},
@@ -60,7 +61,7 @@ func RunCheckpointOverhead() CheckpointOverhead {
 			a, p := mustBuild(wl.arch, wl.src)
 			ckpt := filepath.Join(scratch, "job.ckpt")
 			row := CheckpointOverheadRow{Workload: wl.name, Interval: iv}
-			row.WallOff, row.WallOn, row.Overhead = abMedians(15, func(on bool) time.Duration {
+			row.CPUOff, row.CPUOn, row.Overhead, row.Floor = abMedians(15, func(on bool) {
 				opts := core.Options{InputBytes: 13, MaxPaths: 1 << 13, Workers: 1}
 				if on {
 					opts.CheckpointEvery = iv
@@ -81,7 +82,6 @@ func RunCheckpointOverhead() CheckpointOverhead {
 				}
 				r := mustRun("checkpoint overhead", a, p, opts)
 				row.Paths = len(r.Paths)
-				return r.Stats.WallTime
 			})
 			t.Rows = append(t.Rows, row)
 		}
@@ -92,12 +92,12 @@ func RunCheckpointOverhead() CheckpointOverhead {
 // Print writes the experiment in the repo's table format.
 func (t CheckpointOverhead) Print(w io.Writer) {
 	fmt.Fprintf(w, "Durable-checkpoint overhead: checkpointing vs off (serial fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %10s %6s %8s %12s %12s %9s\n",
-		"workload", "interval", "paths", "writes", "wall (off)", "wall (on)", "overhead")
+	fmt.Fprintf(w, "%-16s %10s %6s %8s %12s %12s %9s %9s\n",
+		"workload", "interval", "paths", "writes", "cpu (off)", "cpu (on)", "overhead", "a/a")
 	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %10v %6d %8d %12v %12v %+8.1f%%\n",
+		fmt.Fprintf(w, "%-16s %10v %6d %8d %12v %12v %+8.1f%% %+8.1f%%\n",
 			r.Workload, r.Interval, r.Paths, r.Writes,
-			r.WallOff.Round(time.Millisecond), r.WallOn.Round(time.Millisecond),
-			100*r.Overhead)
+			r.CPUOff.Round(time.Millisecond), r.CPUOn.Round(time.Millisecond),
+			100*r.Overhead, 100*r.Floor)
 	}
 }

@@ -69,9 +69,10 @@ type CoverOverheadRow struct {
 	Workload string
 	Workers  int
 	Paths    int
-	WallOff  time.Duration // median rep with Options.Cover == nil
-	WallOn   time.Duration // median rep with Options.Cover == cover.New()
+	CPUOff   time.Duration // median rep with Options.Cover == nil
+	CPUOn    time.Duration // median rep with Options.Cover == cover.New()
 	Overhead float64       // median-vs-median (abMedians)
+	Floor    float64       // A/A: off vs off, the noise floor of Overhead (abMedians)
 }
 
 // CoverOverhead is the coverage-on vs coverage-off experiment.
@@ -89,14 +90,13 @@ func RunCoverOverhead(workerCounts []int) CoverOverhead {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
 			row := CoverOverheadRow{Workload: wl.name, Workers: nw}
-			row.WallOff, row.WallOn, row.Overhead = abMedians(9, func(on bool) time.Duration {
+			row.CPUOff, row.CPUOn, row.Overhead, row.Floor = abMedians(9, func(on bool) {
 				opts := core.Options{InputBytes: 10, MaxPaths: 1 << 11, Workers: nw}
 				if on {
 					opts.Cover = cover.New()
 				}
 				r := mustRun("cover overhead", a, p, opts)
 				row.Paths = len(r.Paths)
-				return r.Stats.WallTime
 			})
 			t.Rows = append(t.Rows, row)
 		}
@@ -107,12 +107,12 @@ func RunCoverOverhead(workerCounts []int) CoverOverhead {
 // Print writes the experiment in the repo's table format.
 func (t CoverOverhead) Print(w io.Writer) {
 	fmt.Fprintf(w, "Coverage overhead: collector on vs off (fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %12s %12s %9s\n",
-		"workload", "workers", "paths", "wall (off)", "wall (on)", "overhead")
+	fmt.Fprintf(w, "%-16s %8s %6s %12s %12s %9s %9s\n",
+		"workload", "workers", "paths", "cpu (off)", "cpu (on)", "overhead", "a/a")
 	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %12v %12v %+8.1f%%\n",
+		fmt.Fprintf(w, "%-16s %8d %6d %12v %12v %+8.1f%% %+8.1f%%\n",
 			r.Workload, r.Workers, r.Paths,
-			r.WallOff.Round(time.Millisecond), r.WallOn.Round(time.Millisecond),
-			100*r.Overhead)
+			r.CPUOff.Round(time.Millisecond), r.CPUOn.Round(time.Millisecond),
+			100*r.Overhead, 100*r.Floor)
 	}
 }

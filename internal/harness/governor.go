@@ -19,9 +19,10 @@ type GovernorOverheadRow struct {
 	Workload string
 	Workers  int
 	Paths    int
-	WallOff  time.Duration // median rep with no deadline or term budget
-	WallOn   time.Duration // median rep with SolverDeadline + MaxStateTerms armed
+	CPUOff   time.Duration // median rep with no deadline or term budget
+	CPUOn    time.Duration // median rep with SolverDeadline + MaxStateTerms armed
 	Overhead float64       // median-vs-median (abMedians)
+	Floor    float64       // A/A: off vs off, the noise floor of Overhead (abMedians)
 }
 
 // GovernorOverhead is the governor-armed vs governor-off experiment.
@@ -42,7 +43,7 @@ func RunGovernorOverhead(workerCounts []int) GovernorOverhead {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
 			row := GovernorOverheadRow{Workload: wl.name, Workers: nw}
-			row.WallOff, row.WallOn, row.Overhead = abMedians(9, func(armed bool) time.Duration {
+			row.CPUOff, row.CPUOn, row.Overhead, row.Floor = abMedians(9, func(armed bool) {
 				opts := core.Options{InputBytes: 10, MaxPaths: 1 << 11, Workers: nw}
 				if armed {
 					opts.SolverDeadline = 5 * time.Second
@@ -53,7 +54,6 @@ func RunGovernorOverhead(workerCounts []int) GovernorOverhead {
 					panic("harness: governor overhead: generous limits degraded — the off/on runs are not comparable")
 				}
 				row.Paths = len(r.Paths)
-				return r.Stats.WallTime
 			})
 			t.Rows = append(t.Rows, row)
 		}
@@ -64,12 +64,12 @@ func RunGovernorOverhead(workerCounts []int) GovernorOverhead {
 // Print writes the experiment in the repo's table format.
 func (t GovernorOverhead) Print(w io.Writer) {
 	fmt.Fprintf(w, "Governor overhead: deadline + term budget armed vs off (no degradation fires)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %12s %12s %9s\n",
-		"workload", "workers", "paths", "wall (off)", "wall (armed)", "overhead")
+	fmt.Fprintf(w, "%-16s %8s %6s %12s %12s %9s %9s\n",
+		"workload", "workers", "paths", "cpu (off)", "cpu (armed)", "overhead", "a/a")
 	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %12v %12v %+8.1f%%\n",
+		fmt.Fprintf(w, "%-16s %8d %6d %12v %12v %+8.1f%% %+8.1f%%\n",
 			r.Workload, r.Workers, r.Paths,
-			r.WallOff.Round(time.Millisecond), r.WallOn.Round(time.Millisecond),
-			100*r.Overhead)
+			r.CPUOff.Round(time.Millisecond), r.CPUOn.Round(time.Millisecond),
+			100*r.Overhead, 100*r.Floor)
 	}
 }

@@ -129,9 +129,10 @@ type ProgressOverheadRow struct {
 	Workload string
 	Workers  int
 	Paths    int
-	WallOff  time.Duration // Options.Progress == nil
-	WallOn   time.Duration // progress armed + 250ms sampler + ledger append
+	CPUOff   time.Duration // Options.Progress == nil
+	CPUOn    time.Duration // progress armed + 250ms sampler + ledger append
 	Overhead float64       // median-vs-median
+	Floor    float64       // A/A: off vs off, the noise floor of Overhead (abMedians)
 	Samples  int           // sampler snapshots taken during the armed reps
 }
 
@@ -167,7 +168,7 @@ func RunProgressOverhead(workerCounts []int) ProgressOverhead {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
 			row := ProgressOverheadRow{Workload: wl.name, Workers: nw}
-			row.WallOff, row.WallOn, row.Overhead = abMedians(15, func(on bool) time.Duration {
+			row.CPUOff, row.CPUOn, row.Overhead, row.Floor = abMedians(15, func(on bool) {
 				opts := core.Options{InputBytes: 12, MaxPaths: 1 << 13, Workers: nw}
 				stop, done := make(chan struct{}), make(chan struct{})
 				if on {
@@ -191,7 +192,7 @@ func RunProgressOverhead(workerCounts []int) ProgressOverhead {
 				r := mustRun("progress overhead", a, p, opts)
 				row.Paths = len(r.Paths)
 				if !on {
-					return r.Stats.WallTime
+					return
 				}
 				close(stop)
 				<-done
@@ -204,7 +205,6 @@ func RunProgressOverhead(workerCounts []int) ProgressOverhead {
 				if aerr := led.Append(rec); aerr != nil {
 					panic(fmt.Sprintf("harness: progress overhead: %v", aerr))
 				}
-				return r.Stats.WallTime
 			})
 			t.Rows = append(t.Rows, row)
 		}
@@ -215,12 +215,12 @@ func RunProgressOverhead(workerCounts []int) ProgressOverhead {
 // Print writes the experiment in the repo's table format.
 func (t ProgressOverhead) Print(w io.Writer) {
 	fmt.Fprintf(w, "Live-progress + ledger overhead: armed vs off (fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %8s %12s %12s %9s\n",
-		"workload", "workers", "paths", "samples", "wall (off)", "wall (on)", "overhead")
+	fmt.Fprintf(w, "%-16s %8s %6s %8s %12s %12s %9s %9s\n",
+		"workload", "workers", "paths", "samples", "cpu (off)", "cpu (on)", "overhead", "a/a")
 	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %8d %12v %12v %+8.1f%%\n",
+		fmt.Fprintf(w, "%-16s %8d %6d %8d %12v %12v %+8.1f%% %+8.1f%%\n",
 			r.Workload, r.Workers, r.Paths, r.Samples,
-			r.WallOff.Round(time.Millisecond), r.WallOn.Round(time.Millisecond),
-			100*r.Overhead)
+			r.CPUOff.Round(time.Millisecond), r.CPUOn.Round(time.Millisecond),
+			100*r.Overhead, 100*r.Floor)
 	}
 }

@@ -20,9 +20,10 @@ type ProfileOverheadRow struct {
 	Workload string
 	Workers  int
 	Paths    int
-	WallOff  time.Duration // median rep with Options.Profile == nil
-	WallOn   time.Duration // median rep with a fresh profiler attached
+	CPUOff   time.Duration // median rep with Options.Profile == nil
+	CPUOn    time.Duration // median rep with a fresh profiler attached
 	Overhead float64       // median-vs-median (abMedians)
+	Floor    float64       // A/A: off vs off, the noise floor of Overhead (abMedians)
 	PCs      int           // distinct guest PCs attributed (sanity: > 0)
 }
 
@@ -46,7 +47,7 @@ func RunProfileOverhead(workerCounts []int) ProfileOverhead {
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
 			row := ProfileOverheadRow{Workload: wl.name, Workers: nw}
-			row.WallOff, row.WallOn, row.Overhead = abMedians(15, func(on bool) time.Duration {
+			row.CPUOff, row.CPUOn, row.Overhead, row.Floor = abMedians(15, func(on bool) {
 				opts := core.Options{InputBytes: 12, MaxPaths: 1 << 13, Workers: nw}
 				if on {
 					opts.Profile = profile.New(profile.Meta{ADL: wl.arch})
@@ -56,7 +57,6 @@ func RunProfileOverhead(workerCounts []int) ProfileOverhead {
 					row.PCs = len(opts.Profile.Snapshot().PCs)
 				}
 				row.Paths = len(r.Paths)
-				return r.Stats.WallTime
 			})
 			t.Rows = append(t.Rows, row)
 		}
@@ -67,12 +67,12 @@ func RunProfileOverhead(workerCounts []int) ProfileOverhead {
 // Print writes the experiment in the repo's table format.
 func (t ProfileOverhead) Print(w io.Writer) {
 	fmt.Fprintf(w, "Exploration-profiler overhead: armed vs off (fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %6s %12s %12s %9s\n",
-		"workload", "workers", "paths", "pcs", "wall (off)", "wall (on)", "overhead")
+	fmt.Fprintf(w, "%-16s %8s %6s %6s %12s %12s %9s %9s\n",
+		"workload", "workers", "paths", "pcs", "cpu (off)", "cpu (on)", "overhead", "a/a")
 	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %6d %12v %12v %+8.1f%%\n",
+		fmt.Fprintf(w, "%-16s %8d %6d %6d %12v %12v %+8.1f%% %+8.1f%%\n",
 			r.Workload, r.Workers, r.Paths, r.PCs,
-			r.WallOff.Round(time.Millisecond), r.WallOn.Round(time.Millisecond),
-			100*r.Overhead)
+			r.CPUOff.Round(time.Millisecond), r.CPUOn.Round(time.Millisecond),
+			100*r.Overhead, 100*r.Floor)
 	}
 }

@@ -56,3 +56,20 @@ func BenchmarkIncrementalPathConditions(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHashGuard is one bughunt fork on a fresh solver: blast the
+// 5-round multiply-add hash guard and decide both sides. Run it with
+// -benchmem; its B/op and allocs/op are the solver's share of bughunt's
+// allocations per fork.
+func BenchmarkHashGuard(b *testing.B) {
+	for b.Loop() {
+		bld := expr.NewBuilder()
+		s := New(bld)
+		g := hashGuard(bld, 0x6c1d)
+		for _, q := range []*expr.Expr{g, bld.BoolNot(g)} {
+			if _, err := s.Check(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

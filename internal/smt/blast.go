@@ -105,25 +105,43 @@ func (s *Solver) gateMaj(a, b, cin sat.Lit) sat.Lit {
 
 // ---- word-level circuits ----------------------------------------------
 
-// adder returns sum bits and the final carry-out of a + b + cin.
-func (s *Solver) adder(a, b []sat.Lit, cin sat.Lit) (sum []sat.Lit, cout sat.Lit) {
-	n := len(a)
-	sum = make([]sat.Lit, n)
+// scratch returns *buf resized to n, for a blaster temporary that dies
+// before the next use of the same buffer and never reaches s.bits.
+func scratch(buf *[]sat.Lit, n int) []sat.Lit {
+	if cap(*buf) < n {
+		*buf = make([]sat.Lit, n)
+	}
+	return (*buf)[:n]
+}
+
+// inverted returns the bitwise complement of a in the s.inv scratch.
+func (s *Solver) inverted(a []sat.Lit) []sat.Lit {
+	inv := scratch(&s.inv, len(a))
+	for i, l := range a {
+		inv[i] = l.Not()
+	}
+	return inv
+}
+
+// adder writes the sum bits of a + b + cin into sum, which may alias a
+// or b (a fresh slice when sum is nil), and returns them with the final
+// carry-out.
+func (s *Solver) adder(sum, a, b []sat.Lit, cin sat.Lit) ([]sat.Lit, sat.Lit) {
+	if sum == nil {
+		sum = make([]sat.Lit, len(a))
+	}
 	c := cin
-	for i := 0; i < n; i++ {
-		axb := s.gateXor(a[i], b[i])
+	for i := range sum {
+		ai, bi := a[i], b[i]
+		axb := s.gateXor(ai, bi)
 		sum[i] = s.gateXor(axb, c)
-		c = s.gateMaj(a[i], b[i], c)
+		c = s.gateMaj(ai, bi, c)
 	}
 	return sum, c
 }
 
 func (s *Solver) negate(a []sat.Lit) []sat.Lit {
-	inv := make([]sat.Lit, len(a))
-	for i, l := range a {
-		inv[i] = l.Not()
-	}
-	sum, _ := s.adder(inv, s.constVec(uint64(1), uint(len(a))), s.constLit(false))
+	sum, _ := s.adder(nil, s.inverted(a), s.constVec(uint64(1), uint(len(a))), s.constLit(false))
 	return sum
 }
 
@@ -139,9 +157,9 @@ func (s *Solver) constVec(v uint64, w uint) []sat.Lit {
 func (s *Solver) mul(a, b []sat.Lit) []sat.Lit {
 	n := len(a)
 	acc := s.constVec(0, uint(n))
+	pp := scratch(&s.pp, n)
 	for i := 0; i < n; i++ {
 		// Partial product: (a << i) & b[i], truncated to n bits.
-		pp := make([]sat.Lit, n)
 		for j := 0; j < n; j++ {
 			if j < i {
 				pp[j] = s.constLit(false)
@@ -149,7 +167,7 @@ func (s *Solver) mul(a, b []sat.Lit) []sat.Lit {
 				pp[j] = s.gateAnd(a[j-i], b[i])
 			}
 		}
-		acc, _ = s.adder(acc, pp, s.constLit(false))
+		s.adder(acc, acc, pp, s.constLit(false))
 	}
 	return acc
 }
@@ -157,11 +175,8 @@ func (s *Solver) mul(a, b []sat.Lit) []sat.Lit {
 // ultLit returns the literal of the unsigned predicate a < b, via the
 // borrow of a - b: a < b iff the carry-out of a + ~b + 1 is 0.
 func (s *Solver) ultLit(a, b []sat.Lit) sat.Lit {
-	inv := make([]sat.Lit, len(b))
-	for i, l := range b {
-		inv[i] = l.Not()
-	}
-	_, cout := s.adder(a, inv, s.constLit(true))
+	inv := s.inverted(b)
+	_, cout := s.adder(inv, a, inv, s.constLit(true)) // only the carry is kept
 	return cout.Not()
 }
 
@@ -189,15 +204,16 @@ func (s *Solver) shift(a, amt []sat.Lit, kind int) []sat.Lit {
 	if kind == 2 {
 		fill = a[n-1]
 	}
-	cur := append([]sat.Lit(nil), a...)
-	// Stages for shift-amount bits that keep the shift in range.
+	cur := a
+	// Stages for shift-amount bits that keep the shift in range; they
+	// alternate between the two s.sh scratch rows.
 	stages := 0
 	for 1<<stages < n {
 		stages++
 	}
 	for k := 0; k < stages && k < len(amt); k++ {
 		sh := 1 << k
-		next := make([]sat.Lit, n)
+		next := scratch(&s.sh[k%2], n)
 		for i := 0; i < n; i++ {
 			var from sat.Lit
 			switch kind {
@@ -242,9 +258,9 @@ func (s *Solver) udivurem(a, b []sat.Lit) (q, r []sat.Lit) {
 	n := len(a)
 	q = make([]sat.Lit, n)
 	r = make([]sat.Lit, n)
+	v := s.freshVars(2 * n)
 	for i := range q {
-		q[i] = s.fresh()
-		r[i] = s.fresh()
+		q[i], r[i] = sat.MkLit(v+2*i, false), sat.MkLit(v+2*i+1, false)
 	}
 	zero := s.constLit(false)
 	ext := func(v []sat.Lit) []sat.Lit {
@@ -262,7 +278,7 @@ func (s *Solver) udivurem(a, b []sat.Lit) (q, r []sat.Lit) {
 	}
 	// Exact relation at 2w bits: zext(q)*zext(b) + zext(r) == zext(a).
 	prod := s.mul(ext(q), ext(b))
-	sum, _ := s.adder(prod, ext(r), zero)
+	sum, _ := s.adder(prod, prod, ext(r), zero)
 	rel := s.eqLit(sum, ext(a))
 	rlb := s.ultLit(r, b)
 	s.add(nz.Not(), rel)
@@ -330,8 +346,9 @@ func (s *Solver) blast(e *expr.Expr) []sat.Lit {
 		out = s.constVec(e.ConstVal(), w)
 	case expr.KVar:
 		out = make([]sat.Lit, w)
+		v := s.freshVars(int(w))
 		for i := range out {
-			out[i] = s.fresh()
+			out[i] = sat.MkLit(v+i, false)
 		}
 		s.vars = append(s.vars, e)
 	case expr.KNot:
@@ -343,14 +360,10 @@ func (s *Solver) blast(e *expr.Expr) []sat.Lit {
 	case expr.KNeg:
 		out = s.negate(s.blast(e.Arg(0)))
 	case expr.KAdd:
-		out, _ = s.adder(s.blast(e.Arg(0)), s.blast(e.Arg(1)), s.constLit(false))
+		out, _ = s.adder(nil, s.blast(e.Arg(0)), s.blast(e.Arg(1)), s.constLit(false))
 	case expr.KSub:
 		a, b := s.blast(e.Arg(0)), s.blast(e.Arg(1))
-		inv := make([]sat.Lit, len(b))
-		for i, l := range b {
-			inv[i] = l.Not()
-		}
-		out, _ = s.adder(a, inv, s.constLit(true))
+		out, _ = s.adder(nil, a, s.inverted(b), s.constLit(true))
 	case expr.KMul:
 		out = s.mul(s.blast(e.Arg(0)), s.blast(e.Arg(1)))
 	case expr.KUDiv:
@@ -362,23 +375,11 @@ func (s *Solver) blast(e *expr.Expr) []sat.Lit {
 	case expr.KSDiv, expr.KSRem:
 		out = s.blastSigned(e)
 	case expr.KAnd:
-		a, b := s.blast(e.Arg(0)), s.blast(e.Arg(1))
-		out = make([]sat.Lit, w)
-		for i := range out {
-			out[i] = s.gateAnd(a[i], b[i])
-		}
+		out = s.bitwise(e, s.gateAnd)
 	case expr.KOr:
-		a, b := s.blast(e.Arg(0)), s.blast(e.Arg(1))
-		out = make([]sat.Lit, w)
-		for i := range out {
-			out[i] = s.gateOr(a[i], b[i])
-		}
+		out = s.bitwise(e, s.gateOr)
 	case expr.KXor:
-		a, b := s.blast(e.Arg(0)), s.blast(e.Arg(1))
-		out = make([]sat.Lit, w)
-		for i := range out {
-			out[i] = s.gateXor(a[i], b[i])
-		}
+		out = s.bitwise(e, s.gateXor)
 	case expr.KShl:
 		out = s.shift(s.blast(e.Arg(0)), s.blast(e.Arg(1)), 0)
 	case expr.KLShr:
@@ -406,12 +407,7 @@ func (s *Solver) blast(e *expr.Expr) []sat.Lit {
 			out = append(out, sign)
 		}
 	case expr.KITE:
-		c := s.blastBool(e.Arg(0))
-		t, f := s.blast(e.Arg(1)), s.blast(e.Arg(2))
-		out = make([]sat.Lit, w)
-		for i := range out {
-			out[i] = s.gateMux(c, t[i], f[i])
-		}
+		out = s.muxVec(s.blastBool(e.Arg(0)), s.blast(e.Arg(1)), s.blast(e.Arg(2)))
 	default:
 		panic(fmt.Sprintf("smt: blast of %v", e.Kind()))
 	}
@@ -419,6 +415,16 @@ func (s *Solver) blast(e *expr.Expr) []sat.Lit {
 		panic(fmt.Sprintf("smt: blasted %v to %d bits, want %d", e.Kind(), len(out), w))
 	}
 	s.bits[e] = out
+	return out
+}
+
+// bitwise applies gate to each bit pair of e's two operands.
+func (s *Solver) bitwise(e *expr.Expr, gate func(a, b sat.Lit) sat.Lit) []sat.Lit {
+	a, b := s.blast(e.Arg(0)), s.blast(e.Arg(1))
+	out := make([]sat.Lit, len(a))
+	for i := range out {
+		out[i] = gate(a[i], b[i])
+	}
 	return out
 }
 

@@ -133,16 +133,9 @@ func (c *QueryCache) store(k cacheKey, e cacheEntry) {
 // as anything read back from disk. fromDisk marks the entry for the
 // cross-run DiskHits counter.
 func (c *QueryCache) Insert(k0, k1 uint64, r Result, model expr.Env, fromDisk bool) {
-	if r == Unknown {
-		return // non-canonical, same rule as store
+	if r != Unknown { // non-canonical, same rule as store
+		c.store(cacheKey{k0: k0, k1: k1}, cacheEntry{r: r, model: model, disk: fromDisk})
 	}
-	k := cacheKey{k0: k0, k1: k1}
-	s := c.shard(k)
-	s.mu.Lock()
-	if _, ok := s.m[k]; !ok {
-		s.m[k] = cacheEntry{r: r, model: model, used: c.tick.Add(1), disk: fromDisk}
-	}
-	s.mu.Unlock()
 }
 
 // ExportedEntry is one memoized query as seen by Export.
@@ -237,13 +230,4 @@ func (c *QueryCache) HitRate() float64 { return c.Stats().HitRate() }
 // Size returns the number of memoized queries. Each shard is counted
 // under its lock; with no eviction the result is a lower bound of the
 // instantaneous size and is exact once stores quiesce.
-func (c *QueryCache) Size() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *QueryCache) Size() int { return c.Stats().Size }

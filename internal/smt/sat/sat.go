@@ -8,10 +8,14 @@
 // for incremental path-condition queries: the bit-blasted definitions are
 // added once as permanent clauses and each query only assumes the literals
 // of the current path condition.
+//
+// Clauses live in one pointer-free arena addressed by uint32 references,
+// stored so that the search matches a pointer-per-clause solver exactly.
 package sat
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 )
@@ -56,10 +60,14 @@ func (b lbool) not() lbool {
 	return lUndef
 }
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	act    float64
+// A clause reference (cref) c addresses a clause in the arena: arena[c]
+// holds its size and arena[c+1:] its literals.
+const crefUndef = ^uint32(0) // no clause: a decision, assumption or unit
+
+// learnedClause is a learned clause's cref and its activity.
+type learnedClause struct {
+	c   uint32
+	act float64
 }
 
 // Result is the outcome of a Solve call.
@@ -103,13 +111,15 @@ type Stats struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause // learned clauses
-	watches [][]*clause
+	arena    []Lit
+	nClauses int // problem clauses
+	learnts  []learnedClause
+	dead     []uint32 // scratch for reduceDB: crefs of deleted clauses
+	watches  [][]uint32
 
 	assign  []lbool
 	level   []int32
-	reason  []*clause
+	reason  []uint32
 	phase   []bool // saved phases
 	trail   []Lit
 	trailLo []int32 // decision-level start indices in trail
@@ -122,6 +132,7 @@ type Solver struct {
 	seen    []bool
 	sstack  []int // scratch for clause minimization
 	clarify []Lit
+	buf     []Lit // scratch: AddClause's sorted copy, analyze's learned clause
 
 	claInc float64
 
@@ -158,20 +169,52 @@ func New() *Solver {
 func (s *Solver) NumVars() int { return len(s.assign) }
 
 // NumClauses returns the number of problem (non-learned) clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.nClauses }
 
 // NewVar allocates a fresh variable and returns its index.
-func (s *Solver) NewVar() int {
+func (s *Solver) NewVar() int { return s.NewVars(1) }
+
+// NewVars allocates n consecutive variables, as n NewVar calls would.
+func (s *Solver) NewVars(n int) int {
 	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
-	s.phase = append(s.phase, false)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
-	s.order.push(v)
+	s.assign = append(reserve(s.assign, n), make([]lbool, n)...)
+	s.level = append(reserve(s.level, n), make([]int32, n)...)
+	s.reason = append(reserve(s.reason, n), make([]uint32, n)...)
+	s.phase = append(reserve(s.phase, n), make([]bool, n)...)
+	s.activity = append(reserve(s.activity, n), make([]float64, n)...)
+	s.seen = append(reserve(s.seen, n), make([]bool, n)...)
+	s.watches = append(reserve(s.watches, 2*n), make([][]uint32, 2*n)...)
+	s.order.indices = append(reserve(s.order.indices, n), make([]int, n)...)
+	for i := v; i < v+n; i++ {
+		s.reason[i] = crefUndef
+		s.order.push(i)
+	}
 	return v
+}
+
+// reserve makes room for n more elements of s, doubling its capacity
+// when it must reallocate (append grows large slices by only 1.25x).
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		t := make([]T, len(s), 2*len(s)+n)
+		copy(t, s)
+		return t
+	}
+	return s
+}
+
+// lits returns the literals of clause c, aliasing the arena.
+func (s *Solver) lits(c uint32) []Lit {
+	return s.arena[c+1 : c+1+uint32(s.arena[c])]
+}
+
+// alloc appends a clause to the arena, watches it and returns its cref.
+func (s *Solver) alloc(lits []Lit) uint32 {
+	c := uint32(len(s.arena))
+	s.arena = append(append(reserve(s.arena, 1+len(lits)), Lit(len(lits))), lits...)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], c)
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], c)
+	return c
 }
 
 func (s *Solver) value(l Lit) lbool {
@@ -189,9 +232,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	// Sort and strip duplicates / tautologies / false literals.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Sort in scratch (slices.Sort insertion-sorts short slices, without
+	// allocating) and strip duplicates / tautologies / false literals.
+	ls := append(s.buf[:0], lits...)
+	slices.Sort(ls)
+	s.buf = ls
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -216,30 +261,24 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefUndef) {
 			s.ok = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	s.nClauses++
+	s.alloc(out)
 	return true
-}
-
-func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLo) }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit, from uint32) bool {
 	switch s.value(l) {
 	case lTrue:
 		return true
@@ -259,35 +298,36 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef.
+func (s *Solver) propagate() uint32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := crefUndef
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
-			if confl != nil {
+			if confl != crefUndef {
 				kept = append(kept, c)
 				continue
 			}
+			lits := s.lits(c)
 			// Normalize so that the falsified watch is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == lTrue {
+			if s.value(lits[0]) == lTrue {
 				kept = append(kept, c)
 				continue
 			}
 			// Look for a replacement watch.
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], c)
 					moved = true
 					break
 				}
@@ -297,29 +337,30 @@ func (s *Solver) propagate() *clause {
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
+			if !s.enqueue(lits[0], c) {
 				confl = c
 				s.qhead = len(s.trail)
 			}
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
-// clause (with the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// clause (with the asserting literal first, in solver-owned scratch) and
+// the backtrack level.
+func (s *Solver) analyze(confl uint32) ([]Lit, int) {
+	learnt := append(s.buf[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -353,6 +394,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 
 	// Clause minimization: drop literals whose reason clauses are fully
 	// covered by the rest of the learned clause.
+	s.buf = learnt
 	orig := append(s.clarify[:0], learnt...)
 	s.clarify = orig
 	for _, l := range learnt {
@@ -360,7 +402,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
-		if s.reason[learnt[i].Var()] == nil || !s.redundant(learnt[i]) {
+		if s.reason[learnt[i].Var()] == crefUndef || !s.redundant(learnt[i]) {
 			learnt[j] = learnt[i]
 			j++
 		}
@@ -391,49 +433,34 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // the other marked literals (local minimization, one reason level deep
 // with a bounded recursive extension).
 func (s *Solver) redundant(l Lit) bool {
-	s.sstack = s.sstack[:0]
-	s.sstack = append(s.sstack, l.Var())
-	top := 0
-	var toClear []int
-	for top < len(s.sstack) {
+	s.sstack = append(s.sstack[:0], l.Var())
+	ok := true
+	for top := 0; ok && top < len(s.sstack); top++ {
 		v := s.sstack[top]
-		top++
 		c := s.reason[v]
-		if c == nil {
-			for _, u := range toClear {
-				s.seen[u] = false
-			}
-			return false
+		if ok = c != crefUndef; !ok {
+			break
 		}
-		for _, q := range c.lits {
+		for _, q := range s.lits(c) {
 			qv := q.Var()
 			if qv == v || s.seen[qv] || s.level[qv] == 0 {
 				continue
 			}
-			if s.reason[qv] == nil {
-				for _, u := range toClear {
-					s.seen[u] = false
-				}
-				return false
+			if ok = s.reason[qv] != crefUndef; !ok {
+				break
 			}
 			s.seen[qv] = true
-			toClear = append(toClear, qv)
 			s.sstack = append(s.sstack, qv)
 		}
-		if len(s.sstack) > 64 {
-			for _, u := range toClear {
-				s.seen[u] = false
-			}
-			return false
-		}
+		ok = ok && len(s.sstack) <= 64
 	}
-	// Clear the temporary marks on success as well: the caller only
-	// unmarks the literals of the learned clause itself, and stale seen
-	// bits would corrupt the next conflict analysis.
-	for _, u := range toClear {
+	// Clear the temporary marks (all but l's) whatever the outcome: the
+	// caller only unmarks the learned clause's own literals, and stale
+	// seen bits would corrupt the next conflict analysis.
+	for _, u := range s.sstack[1:] {
 		s.seen[u] = false
 	}
-	return true
+	return ok
 }
 
 func (s *Solver) backtrackTo(level int) {
@@ -445,7 +472,7 @@ func (s *Solver) backtrackTo(level int) {
 		v := s.trail[i].Var()
 		s.phase[v] = s.assign[v] == lTrue
 		s.assign[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.order.push(v)
 	}
 	s.trail = s.trail[:lo]
@@ -464,11 +491,11 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
-		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+func (s *Solver) bumpClause(lc *learnedClause) {
+	lc.act += s.claInc
+	if lc.act > 1e20 {
+		for i := range s.learnts {
+			s.learnts[i].act *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -480,30 +507,31 @@ const (
 )
 
 // reduceDB removes roughly half of the learned clauses, keeping the most
-// active and all binary and locked (reason) clauses.
+// active and all binary and locked (reason) clauses. A clause is locked
+// exactly when it is its first literal's reason: propagation enqueues
+// only lits[0] and never moves a true lits[0].
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].act > s.learnts[j].act })
-	locked := make(map[*clause]bool)
-	for _, r := range s.reason {
-		if r != nil {
-			locked[r] = true
-		}
-	}
 	keep := s.learnts[:0]
 	lim := len(s.learnts) / 2
-	for i, c := range s.learnts {
-		if i < lim || len(c.lits) <= 2 || locked[c] {
-			keep = append(keep, c)
+	s.dead = s.dead[:0]
+	for i, lc := range s.learnts {
+		lits := s.lits(lc.c)
+		if i < lim || len(lits) <= 2 || s.reason[lits[0].Var()] == lc.c {
+			keep = append(keep, lc)
 		} else {
-			s.detach(c)
+			s.detach(lc.c)
+			s.dead = append(s.dead, lc.c)
 			s.Stats.Deleted++
 		}
 	}
 	s.learnts = keep
+	s.compact()
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detach(c uint32) {
+	lits := s.lits(c)
+	for _, w := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[w]
 		for i, wc := range ws {
 			if wc == c {
@@ -513,6 +541,46 @@ func (s *Solver) detach(c *clause) {
 			}
 		}
 	}
+}
+
+// compact slides the live clauses down over the deleted ones in s.dead,
+// in order, and forwards every held cref. A deleted header becomes the
+// words freed through its clause: how far the live run after it moves.
+func (s *Solver) compact() {
+	slices.Sort(s.dead)
+	dead, freed := s.dead, Lit(0)
+	for _, c := range dead {
+		freed += 1 + s.arena[c]
+		s.arena[c] = freed
+	}
+	fwd := func(c uint32) uint32 {
+		if k, _ := slices.BinarySearch(dead, c); k > 0 {
+			return c - uint32(s.arena[dead[k-1]])
+		}
+		return c
+	}
+	for _, ws := range s.watches {
+		for i, c := range ws {
+			ws[i] = fwd(c)
+		}
+	}
+	for v, c := range s.reason {
+		if c != crefUndef {
+			s.reason[v] = fwd(c)
+		}
+	}
+	for i := range s.learnts {
+		s.learnts[i].c = fwd(s.learnts[i].c)
+	}
+	s.dead = append(dead, uint32(len(s.arena))) // the end of the last run
+	prev := uint32(0)
+	for k, c := range dead {
+		gone := uint32(s.arena[c])
+		from := c + gone - prev
+		copy(s.arena[from-gone:], s.arena[from:s.dead[k+1]])
+		prev = gone
+	}
+	s.arena = s.arena[:uint32(len(s.arena))-prev]
 }
 
 // luby computes the Luby restart sequence term for index i (1-based).
@@ -547,7 +615,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Result, error) {
 	conflictsAtStart := s.Stats.Conflicts
 	conflictBudget := int64(luby(restartIdx)) * 128
 	conflictsThisRestart := int64(0)
-	maxLearnts := int64(len(s.clauses)/3 + 1000)
+	maxLearnts := int64(s.nClauses/3 + 1000)
 
 	for {
 		if ticks++; ticks&255 == 0 && s.deadlineExpired() {
@@ -555,7 +623,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Result, error) {
 			return Unknown, ErrDeadline
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Stats.Conflicts++
 			conflictsThisRestart++
 			if s.decisionLevel() == 0 {
@@ -565,15 +633,14 @@ func (s *Solver) Solve(assumptions ...Lit) (Result, error) {
 			learnt, btLevel := s.analyze(confl)
 			s.backtrackTo(btLevel)
 			if len(learnt) == 1 {
-				if !s.enqueue(learnt[0], nil) {
+				if !s.enqueue(learnt[0], crefUndef) {
 					s.ok = false
 					return Unsat, nil
 				}
 			} else {
-				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watch(c)
-				s.bumpClause(c)
+				c := s.alloc(learnt)
+				s.learnts = append(s.learnts, learnedClause{c: c})
+				s.bumpClause(&s.learnts[len(s.learnts)-1])
 				s.Stats.Learned++
 				if !s.enqueue(learnt[0], c) {
 					s.ok = false
@@ -616,7 +683,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Result, error) {
 				return Unsat, nil
 			}
 			s.trailLo = append(s.trailLo, int32(len(s.trail)))
-			s.enqueue(a, nil)
+			s.enqueue(a, crefUndef)
 			continue
 		}
 
@@ -640,7 +707,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Result, error) {
 		}
 		s.Stats.Decisions++
 		s.trailLo = append(s.trailLo, int32(len(s.trail)))
-		s.enqueue(MkLit(v, !s.phase[v]), nil)
+		s.enqueue(MkLit(v, !s.phase[v]), crefUndef)
 	}
 }
 
@@ -698,9 +765,6 @@ func (h *varHeap) down(i int) {
 }
 
 func (h *varHeap) push(v int) {
-	for v >= len(h.indices) {
-		h.indices = append(h.indices, 0)
-	}
 	if h.indices[v] != 0 {
 		return
 	}

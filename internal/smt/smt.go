@@ -81,6 +81,10 @@ type Solver struct {
 	vars  []*expr.Expr             // blasted expr variables, for Model
 	truth sat.Lit                  // literal fixed to true
 
+	// Blaster scratch rows (see scratch in blast.go).
+	inv, pp []sat.Lit
+	sh      [2][]sat.Lit
+
 	model expr.Env
 
 	// MaxConflicts bounds each individual Check; 0 means unlimited.
@@ -147,9 +151,12 @@ func (s *Solver) NumClauses() int { return s.sat.NumClauses() }
 // SATStats returns the underlying SAT solver statistics.
 func (s *Solver) SATStats() sat.Stats { return s.sat.Stats }
 
-func (s *Solver) fresh() sat.Lit {
-	s.Stats.AuxVars++
-	return sat.MkLit(s.sat.NewVar(), false)
+func (s *Solver) fresh() sat.Lit { return sat.MkLit(s.freshVars(1), false) }
+
+// freshVars allocates n consecutive SAT variables and returns the first.
+func (s *Solver) freshVars(n int) int {
+	s.Stats.AuxVars += int64(n)
+	return s.sat.NewVars(n)
 }
 
 func (s *Solver) add(lits ...sat.Lit) {
@@ -193,25 +200,14 @@ func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
 	if s.Cache != nil {
 		key = queryKey(assumptions)
 		if e, ok := s.Cache.lookup(key); ok {
-			s.Stats.Queries++
 			s.Stats.CacheHits++
 			if s.Obs != nil {
-				s.Obs.Checks.Inc()
 				s.Obs.CacheHits.Inc()
 			}
-			switch e.r {
-			case Sat:
-				s.Stats.SatResults++
+			if e.r == Sat {
 				s.model = e.model
-				if s.Obs != nil {
-					s.Obs.SatResults.Inc()
-				}
-			case Unsat:
-				s.Stats.UnsatCount++
-				if s.Obs != nil {
-					s.Obs.UnsatResults.Inc()
-				}
 			}
+			s.tally(e.r)
 			if s.Prof != nil {
 				s.Prof.Query(time.Since(pt0), true)
 			}
@@ -231,7 +227,6 @@ func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
 	blast := time.Since(t0)
 	s.Stats.BlastTime += blast
 
-	s.Stats.Queries++
 	s.sat.MaxConflicts = s.MaxConflicts
 	if s.QueryDeadline > 0 {
 		s.sat.Deadline = time.Now().Add(s.QueryDeadline)
@@ -242,8 +237,8 @@ func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
 	r, err := s.sat.Solve(as...)
 	solve := time.Since(t1)
 	s.Stats.SolveTime += solve
+	s.tally(r)
 	if s.Obs != nil {
-		s.Obs.Checks.Inc()
 		s.Obs.BlastSeconds.ObserveDuration(blast)
 		s.Obs.SolveSeconds.ObserveDuration(solve)
 		s.Obs.CheckSeconds.ObserveSince(t0)
@@ -258,18 +253,8 @@ func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
 		}
 		return Unknown, ErrBudget
 	}
-	switch r {
-	case Sat:
-		s.Stats.SatResults++
+	if r == Sat {
 		s.extractModel()
-		if s.Obs != nil {
-			s.Obs.SatResults.Inc()
-		}
-	case Unsat:
-		s.Stats.UnsatCount++
-		if s.Obs != nil {
-			s.Obs.UnsatResults.Inc()
-		}
 	}
 	if s.Cache != nil && r != Unknown {
 		e := cacheEntry{r: r}
@@ -279,6 +264,27 @@ func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
 		s.Cache.store(key, e)
 	}
 	return r, nil
+}
+
+// tally counts one query and its result (Unknown when the search gave
+// up) in Stats and, when attached, Obs.
+func (s *Solver) tally(r Result) {
+	s.Stats.Queries++
+	switch r {
+	case Sat:
+		s.Stats.SatResults++
+		if s.Obs != nil {
+			s.Obs.SatResults.Inc()
+		}
+	case Unsat:
+		s.Stats.UnsatCount++
+		if s.Obs != nil {
+			s.Obs.UnsatResults.Inc()
+		}
+	}
+	if s.Obs != nil {
+		s.Obs.Checks.Inc()
+	}
 }
 
 func (s *Solver) extractModel() {
