@@ -4,20 +4,19 @@
 //
 // Usage:
 //
-//	experiments [-only table1|table2|table3|fig1|fig2|fig3|fig4|parallel|obs|obs-stages|
-//	                   coverage|cover-overhead|governor|compile|service-cache|profile-overhead|
-//	                   ledger|progress-overhead|checkpoint-overhead]
-//	            [-obs-addr :8089] [-ledger DIR] [-bench-out BENCH_ledger.json]
+//	experiments [-only table1|table2|table3|fig1|fig2|fig3|fig4|parallel|overhead|obs-stages|
+//	                   coverage|compile|service-cache|ledger]
+//	            [-workers 1,2,4] [-obs-addr :8089] [-ledger DIR] [-bench-out BENCH_ledger.json]
 //
 // -only ledger appends the parallel-scaling workloads to a run ledger
 // (a throwaway one unless -ledger names a directory to accumulate
 // baselines in) and exports each config's trajectory — rolling medians
 // plus the latest run's regression-gate verdict — to -bench-out.
-// -only progress-overhead measures the cost of the live-progress
-// instrument plus the per-run ledger append (docs/observability.md).
-// -only checkpoint-overhead measures the cost of durable exploration
-// checkpoints at three paces against a checkpoint-free serial run
-// (docs/service.md).
+// -only overhead measures every armed instrument — metrics, coverage,
+// the resource governor, the exploration profiler, live progress with
+// the ledger append, and durable checkpoints at three paces (1 worker
+// only) — against one shared off baseline and A/A floor per workload
+// and worker count.
 package main
 
 import (
@@ -33,8 +32,8 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (table1..table5, fig1..fig4, parallel, obs, obs-stages, coverage, cover-overhead, governor, compile, service-cache, profile-overhead, ledger, progress-overhead, checkpoint-overhead)")
-	workers := flag.String("workers", "1,2,4", "comma-separated worker counts for -only parallel/obs/cover-overhead/governor/profile-overhead/ledger/progress-overhead (0 = all CPUs)")
+	only := flag.String("only", "", "run a single experiment (table1..table5, fig1..fig4, parallel, overhead, obs-stages, coverage, compile, service-cache, ledger)")
+	workers := flag.String("workers", "1,2,4", "comma-separated worker counts for -only parallel/overhead/ledger (0 = all CPUs)")
 	obsAddr := flag.String("obs-addr", "", "serve expvar and pprof on this address while experiments run (for live profiling)")
 	ledgerDir := flag.String("ledger", "", "run-ledger directory for -only ledger (empty = throwaway temp dir)")
 	benchOut := flag.String("bench-out", "BENCH_ledger.json", "trajectory export path for -only ledger")
@@ -86,22 +85,16 @@ func main() {
 		harness.PrintFig4(os.Stdout, harness.RunFig4([]uint{8, 16, 24, 32, 48, 64}))
 	case "parallel":
 		harness.RunParallelScaling(workerCounts).Print(os.Stdout)
-	case "obs":
-		harness.RunObsOverhead(workerCounts).Print(os.Stdout)
+	case "overhead":
+		harness.RunOverhead(workerCounts).Print(os.Stdout)
 	case "obs-stages":
 		harness.RunObsStages().Print(os.Stdout)
 	case "coverage":
 		harness.RunCoverageMatrix().Print(os.Stdout)
-	case "cover-overhead":
-		harness.RunCoverOverhead(workerCounts).Print(os.Stdout)
-	case "governor":
-		harness.RunGovernorOverhead(workerCounts).Print(os.Stdout)
 	case "compile":
 		harness.RunCompileBench().Print(os.Stdout)
 	case "service-cache":
 		harness.RunServiceCache().Print(os.Stdout)
-	case "profile-overhead":
-		harness.RunProfileOverhead(workerCounts).Print(os.Stdout)
 	case "ledger":
 		dir := *ledgerDir
 		if dir == "" {
@@ -124,10 +117,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "bench-out: wrote trajectory to %s\n", *benchOut)
-	case "progress-overhead":
-		harness.RunProgressOverhead(workerCounts).Print(os.Stdout)
-	case "checkpoint-overhead":
-		harness.RunCheckpointOverhead().Print(os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
 		os.Exit(2)

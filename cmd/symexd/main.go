@@ -97,30 +97,18 @@ func main() {
 	attrs := []any{"addr", httpSrv.Addr()}
 	if *ledgerDir != "" {
 		ls := srv.LedgerStats()
-		mode := "writer"
-		if ls.ReadOnly {
-			mode = "read-only follower"
-		}
 		attrs = append(attrs, "ledger_dir", *ledgerDir, "ledger_loaded", ls.Loaded,
-			"ledger_corrupt", ls.Corruptions, "ledger_mode", mode)
+			"ledger_corrupt", ls.Corruptions, "ledger_mode", leaseMode(ls.ReadOnly))
 	}
 	if *cacheFile != "" {
 		ps := srv.PersistStats()
-		mode := "writer"
-		if ps.ReadOnly {
-			mode = "read-only follower"
-		}
 		attrs = append(attrs, "cache_file", *cacheFile, "cache_loaded", ps.Loaded,
-			"cache_corrupt", ps.Corruptions, "cache_mode", mode)
+			"cache_corrupt", ps.Corruptions, "cache_mode", leaseMode(ps.ReadOnly))
 	}
 	if *stateDir != "" {
 		js, recovered, resumed := srv.JournalStats()
-		mode := "writer"
-		if js.ReadOnly {
-			mode = "read-only follower"
-		}
 		attrs = append(attrs, "journal_dir", *stateDir, "journal_recovered", recovered,
-			"journal_resumed", resumed, "journal_corrupt", js.Corruptions, "journal_mode", mode)
+			"journal_resumed", resumed, "journal_corrupt", js.Corruptions, "journal_mode", leaseMode(js.ReadOnly))
 	}
 	logger.Info("symexd listening", attrs...)
 
@@ -161,4 +149,14 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
 	}
 	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
+}
+
+// leaseMode names a store's side of its single-writer file lease in the
+// startup log: the ledger, the persistent cache and the journal each
+// take one.
+func leaseMode(readOnly bool) string {
+	if readOnly {
+		return "read-only follower"
+	}
+	return "writer"
 }

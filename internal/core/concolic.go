@@ -130,49 +130,67 @@ func normalizeInput(in []byte, n int) []byte {
 // runConcolic executes the single path induced by the concrete input,
 // returning the collected symbolic branch conditions in path order.
 func (e *Engine) runConcolic(input []byte, covered map[uint64]bool) (*ConcolicPath, []*expr.Expr, error) {
+	out := &ConcolicPath{Input: input}
+	end, env, err := e.followConcrete(input, func(st *State) {
+		if !covered[st.PC] {
+			covered[st.PC] = true
+			out.NewPCs++
+		}
+	}, "core: concolic replay is ambiguous at %#x", "core: concolic replay lost the concrete path at %#x")
+	if err != nil {
+		return nil, nil, err
+	}
+	e.rec.pathEnd(end)
+	out.Status = end.Status
+	out.Fault = end.Fault
+	out.Steps = end.Steps
+	for _, o := range end.Output {
+		out.Output = append(out.Output, byte(expr.Eval(o, env)))
+	}
+	return out, end.PathCond, nil
+}
+
+// followConcrete steps the single path the concrete input induces, from
+// the initial state to its end, and returns the final state with the
+// input environment. At each step it keeps the unique child consistent
+// with the input; siblings belong to other inputs and are dropped.
+// While it runs, address concretization and jump enumeration are pinned
+// to the input. visit, if not nil, sees each state before it steps.
+// ambiguous and lost are the caller's error formats, given the PC, for
+// a step that leaves two consistent children or none.
+func (e *Engine) followConcrete(input []byte, visit func(*State), ambiguous, lost string) (*State, expr.Env, error) {
 	env := expr.Env{}
 	for i, b := range input {
 		env[e.inputName(i)] = uint64(b)
 	}
 	st := e.initialState()
-	out := &ConcolicPath{Input: input}
 	e.concEnv = env
 	defer func() { e.concEnv = nil }()
 
 	for {
-		if !covered[st.PC] {
-			covered[st.PC] = true
-			out.NewPCs++
+		if visit != nil {
+			visit(st)
 		}
 		prevLen := len(st.PathCond)
 		children, err := e.safeStep(st)
 		if err != nil {
 			return nil, nil, err
 		}
-		// Follow the unique child consistent with the concrete input;
-		// siblings belong to other inputs and are dropped.
 		var next *State
 		for _, c := range children {
 			if !consistent(c.PathCond[prevLen:], env) {
 				continue
 			}
 			if next != nil {
-				return nil, nil, fmt.Errorf("core: concolic replay is ambiguous at %#x", st.PC)
+				return nil, nil, fmt.Errorf(ambiguous, st.PC)
 			}
 			next = c
 		}
 		if next == nil {
-			return nil, nil, fmt.Errorf("core: concolic replay lost the concrete path at %#x", st.PC)
+			return nil, nil, fmt.Errorf(lost, st.PC)
 		}
 		if next.Done {
-			e.rec.pathEnd(next)
-			out.Status = next.Status
-			out.Fault = next.Fault
-			out.Steps = next.Steps
-			for _, o := range next.Output {
-				out.Output = append(out.Output, byte(expr.Eval(o, env)))
-			}
-			return out, next.PathCond, nil
+			return next, env, nil
 		}
 		st = next
 	}

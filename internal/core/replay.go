@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/expr"
-)
+import "repro/internal/expr"
 
 // Replay is the fully concrete outcome of executing one input through the
 // symbolic engine: every symbolic end-state value evaluated under the
@@ -30,58 +26,31 @@ type Replay struct {
 // or the engine's extra symbolic input bytes will evaluate to zero while
 // a concrete reference machine reports EOF instead.
 func (e *Engine) ReplayConcrete(input []byte) (*Replay, error) {
-	env := expr.Env{}
-	for i, b := range input {
-		env[e.inputName(i)] = uint64(b)
-	}
-	st := e.initialState()
-	e.concEnv = env
-	defer func() { e.concEnv = nil }()
 	defer e.rec.fold()
-
-	for {
-		prevLen := len(st.PathCond)
-		children, err := e.safeStep(st)
-		if err != nil {
-			return nil, err
-		}
-		// Follow the unique child consistent with the concrete input.
-		var next *State
-		for _, c := range children {
-			if !consistent(c.PathCond[prevLen:], env) {
-				continue
-			}
-			if next != nil {
-				return nil, fmt.Errorf("core: concrete replay is ambiguous at %#x", st.PC)
-			}
-			next = c
-		}
-		if next == nil {
-			return nil, fmt.Errorf("core: concrete replay lost the path at %#x", st.PC)
-		}
-		if next.Done {
-			r := &Replay{
-				Status: next.Status,
-				Fault:  next.Fault,
-				EndPC:  next.PC,
-				Steps:  next.Steps,
-				Regs:   make([]uint64, len(next.regs)),
-				Mem:    make(map[uint64]byte, len(next.mem.base)+next.mem.OverlaySize()),
-			}
-			for _, o := range next.Output {
-				r.Output = append(r.Output, byte(expr.Eval(o, env)))
-			}
-			for i, rx := range next.regs {
-				r.Regs[i] = expr.Eval(rx, env)
-			}
-			for a, b := range next.mem.base {
-				r.Mem[a] = b
-			}
-			next.mem.each(func(a uint64, v *expr.Expr) { r.Mem[a] = byte(expr.Eval(v, env)) })
-			return r, nil
-		}
-		st = next
+	end, env, err := e.followConcrete(input, nil,
+		"core: concrete replay is ambiguous at %#x", "core: concrete replay lost the path at %#x")
+	if err != nil {
+		return nil, err
 	}
+	r := &Replay{
+		Status: end.Status,
+		Fault:  end.Fault,
+		EndPC:  end.PC,
+		Steps:  end.Steps,
+		Regs:   make([]uint64, len(end.regs)),
+		Mem:    make(map[uint64]byte, len(end.mem.base)+end.mem.OverlaySize()),
+	}
+	for _, o := range end.Output {
+		r.Output = append(r.Output, byte(expr.Eval(o, env)))
+	}
+	for i, rx := range end.regs {
+		r.Regs[i] = expr.Eval(rx, env)
+	}
+	for a, b := range end.mem.base {
+		r.Mem[a] = b
+	}
+	end.mem.each(func(a uint64, v *expr.Expr) { r.Mem[a] = byte(expr.Eval(v, env)) })
+	return r, nil
 }
 
 // EndState is the symbolic machine state at the end of a completed path,

@@ -34,7 +34,7 @@ type key struct {
 // NewBuilder returns an empty Builder with simplification enabled.
 func NewBuilder() *Builder {
 	b := &Builder{
-		interned: make(map[key]*Expr, 1024),
+		interned: make(map[key]*Expr),
 		vars:     make(map[string]*Expr),
 		Simplify: true,
 	}

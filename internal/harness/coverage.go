@@ -1,15 +1,13 @@
-// Coverage experiments: the semantic-coverage matrix every ADL reaches
-// under the standard difftest smoke budget, and the cost of leaving the
-// internal/cover collector switched on in the hot path
-// (docs/coverage.md).
+// Coverage experiment: the semantic-coverage matrix every ADL reaches
+// under the standard difftest smoke budget (docs/coverage.md). What
+// arming the collector costs is measured by the instrument-overhead
+// experiment (overhead.go).
 package harness
 
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/difftest"
 )
@@ -61,58 +59,4 @@ func (m CoverageMatrix) Print(w io.Writer) {
 	fmt.Fprintf(w, "Semantic coverage after the smoke budget (%d coverage-guided rounds, seed %d, %d divergences)\n",
 		m.Rounds, m.Seed, m.Divergences)
 	m.Collector.WriteText(w)
-}
-
-// CoverOverheadRow is one workload measured with the coverage collector
-// off and on.
-type CoverOverheadRow struct {
-	Workload string
-	Workers  int
-	Paths    int
-	CPUOff   time.Duration // median rep with Options.Cover == nil
-	CPUOn    time.Duration // median rep with Options.Cover == cover.New()
-	Overhead float64       // median-vs-median (abMedians)
-	Floor    float64       // A/A: off vs off, the noise floor of Overhead (abMedians)
-}
-
-// CoverOverhead is the coverage-on vs coverage-off experiment.
-type CoverOverhead struct {
-	Rows []CoverOverheadRow
-}
-
-// RunCoverOverhead reruns the parallel-scaling workloads with the
-// coverage collector detached and attached, interleaved by abMedians.
-// The collector is a few atomic adds per instruction, so the acceptance
-// bar is the same <=3% as the metrics registry (see EXPERIMENTS.md).
-func RunCoverOverhead(workerCounts []int) CoverOverhead {
-	var t CoverOverhead
-	for _, wl := range parallelWorkloads() {
-		for _, nw := range workerCounts {
-			a, p := mustBuild(wl.arch, wl.src)
-			row := CoverOverheadRow{Workload: wl.name, Workers: nw}
-			row.CPUOff, row.CPUOn, row.Overhead, row.Floor = abMedians(9, func(on bool) {
-				opts := core.Options{InputBytes: 10, MaxPaths: 1 << 11, Workers: nw}
-				if on {
-					opts.Cover = cover.New()
-				}
-				r := mustRun("cover overhead", a, p, opts)
-				row.Paths = len(r.Paths)
-			})
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	return t
-}
-
-// Print writes the experiment in the repo's table format.
-func (t CoverOverhead) Print(w io.Writer) {
-	fmt.Fprintf(w, "Coverage overhead: collector on vs off (fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %12s %12s %9s %9s\n",
-		"workload", "workers", "paths", "cpu (off)", "cpu (on)", "overhead", "a/a")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %12v %12v %+8.1f%% %+8.1f%%\n",
-			r.Workload, r.Workers, r.Paths,
-			r.CPUOff.Round(time.Millisecond), r.CPUOn.Round(time.Millisecond),
-			100*r.Overhead, 100*r.Floor)
-	}
 }

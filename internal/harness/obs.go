@@ -1,6 +1,6 @@
-// Telemetry experiments: the cost of leaving the internal/obs
-// instrumentation switched on in the hot path, and the per-stage time
-// breakdown the registry histograms expose (docs/observability.md).
+// Telemetry experiment: the per-stage time breakdown the registry
+// histograms expose (docs/observability.md). What arming the registry
+// costs is measured by the instrument-overhead experiment (overhead.go).
 package harness
 
 import (
@@ -11,60 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 )
-
-// ObsOverheadRow is one workload measured with telemetry off and on.
-type ObsOverheadRow struct {
-	Workload string
-	Workers  int
-	Paths    int
-	CPUOff   time.Duration // median rep with Options.Obs == nil
-	CPUOn    time.Duration // median rep with Options.Obs == obs.New() (metrics, no tracer)
-	Overhead float64       // median-vs-median (abMedians)
-	Floor    float64       // A/A: off vs off, the noise floor of Overhead (abMedians)
-}
-
-// ObsOverhead is the metrics-on vs metrics-off experiment.
-type ObsOverhead struct {
-	Rows []ObsOverheadRow
-}
-
-// RunObsOverhead reruns the parallel-scaling workloads with telemetry
-// disabled and with the metrics registry attached, interleaved by
-// abMedians. The registry is expected to cost low single-digit percent
-// (the acceptance bar is <=3% on the fork-heavy workloads; see
-// EXPERIMENTS.md).
-func RunObsOverhead(workerCounts []int) ObsOverhead {
-	var t ObsOverhead
-	for _, wl := range parallelWorkloads() {
-		for _, nw := range workerCounts {
-			a, p := mustBuild(wl.arch, wl.src)
-			row := ObsOverheadRow{Workload: wl.name, Workers: nw}
-			row.CPUOff, row.CPUOn, row.Overhead, row.Floor = abMedians(9, func(on bool) {
-				opts := core.Options{InputBytes: 10, MaxPaths: 1 << 11, Workers: nw}
-				if on {
-					opts.Obs = obs.New()
-				}
-				r := mustRun("obs overhead", a, p, opts)
-				row.Paths = len(r.Paths)
-			})
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	return t
-}
-
-// Print writes the experiment in the repo's table format.
-func (t ObsOverhead) Print(w io.Writer) {
-	fmt.Fprintf(w, "Telemetry overhead: metrics registry on vs off (fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %12s %12s %9s %9s\n",
-		"workload", "workers", "paths", "cpu (off)", "cpu (on)", "overhead", "a/a")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %12v %12v %+8.1f%% %+8.1f%%\n",
-			r.Workload, r.Workers, r.Paths,
-			r.CPUOff.Round(time.Millisecond), r.CPUOn.Round(time.Millisecond),
-			100*r.Overhead, 100*r.Floor)
-	}
-}
 
 // ObsStages is the per-stage time breakdown of one concolic run, read
 // back from the registry's latency histograms.

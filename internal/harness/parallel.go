@@ -31,13 +31,17 @@ type ParallelScaling struct {
 	Rows []ParallelRow
 }
 
-// parallelWorkloads are fork-heavy programs where exploration dominates:
-// a wide branch ladder (2^10 paths) on two ISAs.
-func parallelWorkloads() []struct{ name, arch, src string } {
-	return []struct{ name, arch, src string }{
-		{"ladder10/tiny32", "tiny32", BranchLadder("tiny32", 10)},
-		{"ladder10/rv32i", "rv32i", BranchLadder("rv32i", 10)},
+// workload is one named program of a fork-heavy experiment.
+type workload struct{ name, arch, src string }
+
+// ladders are fork-heavy programs where exploration dominates: a
+// branch ladder of k branches (2^k paths) on two ISAs.
+func ladders(k int) []workload {
+	var wls []workload
+	for _, a := range []string{"tiny32", "rv32i"} {
+		wls = append(wls, workload{fmt.Sprintf("ladder%d/%s", k, a), a, BranchLadder(a, k)})
 	}
+	return wls
 }
 
 // RunParallelScaling measures the workloads for every worker count,
@@ -45,7 +49,7 @@ func parallelWorkloads() []struct{ name, arch, src string } {
 func RunParallelScaling(workerCounts []int) ParallelScaling {
 	const reps = 3
 	var t ParallelScaling
-	for _, wl := range parallelWorkloads() {
+	for _, wl := range ladders(10) {
 		base := 0.0
 		for _, nw := range workerCounts {
 			a, p := mustBuild(wl.arch, wl.src)
