@@ -10,15 +10,20 @@
 # daemon, the run-ledger regression-gate smoke, the live-progress
 # SSE smoke (docs/observability.md), and the kill-9 crash-recovery
 # smoke of the durable job journal and exploration checkpoints
-# (docs/service.md), and the tests of the separate perfbench module,
-# which imports internal/ packages.
+# (docs/service.md), the command-line smoke of the shared instrument
+# flags, the gofmt gate, and the tests of the separate perfbench
+# module, which imports internal/ packages.
 
-.PHONY: check build test vet race bench loc perfbench-test fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
+.PHONY: check build fmt test vet race bench loc perfbench-test cli-smoke fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
 
-check: build test vet race fuzz-smoke difftest-smoke obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke perfbench-test
+check: build fmt test vet race cli-smoke fuzz-smoke difftest-smoke obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke perfbench-test
 
 build:
 	go build ./...
+
+# Fails when gofmt would reformat any Go file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...
@@ -51,6 +56,13 @@ loc:
 		done; \
 		printf '%-28s %7d\n' "$$pkg" $$n; \
 	done | awk '{ print; t += $$2 } END { printf "%-28s %7d\n", "total", t }'
+
+# Command-line smoke (docs/observability.md): arm the shared instrument
+# flags in-process and read the live endpoint, build symex and emu and
+# parse every file their -cover-out, -profile-out, -profile-json and
+# -trace-out write, and pin each command's flag names to its -h output.
+cli-smoke:
+	go test -run 'TestInstrumentsEndpoint|TestCLISmoke|TestFlagNamesPinned' -count=1 ./internal/cli
 
 # Coverage-guided fuzz targets, a few seconds each (go test allows one
 # -fuzz pattern per invocation).

@@ -10,7 +10,8 @@
 //	         [-cover] [-cover-out cover.json] [-cover-guided=false] \
 //	         [-cover-target 0.9] [-cover-min 0.9] \
 //	         [-chaos] [-chaos-period N] [-service-addr host:port] \
-//	         [-obs-addr :8089] [-trace-out trace.json] [-v]
+//	         [-obs-addr :8089] [-trace-out trace.json] \
+//	         [-profile] [-profile-out prof.pb.gz] [-ledger DIR] [-v]
 //
 // The run is a pure function of the seed; every divergence is reported
 // with the sub-seed, a minimized program and the triggering input, and
@@ -18,15 +19,15 @@
 // at least one divergence was found; exit status 4 means the run was
 // clean but -cover-min was not reached.
 //
-// The -cover family measures semantic coverage (docs/coverage.md):
-// -cover prints the per-ISA matrix to stderr, -cover-out writes the
-// JSON report, -cover-target turns the soak coverage-budgeted (run
-// until every architecture's floor reaches the target instead of a
-// fixed round count), and coverage-guided generation (on by default
-// when collecting) biases instruction selection toward uncovered
-// cells. All of this works fully offline — no -obs-addr needed — and
-// every human-readable summary goes to stderr so stdout stays
-// pipeable.
+// -obs-addr, -cover, -cover-out, -profile, -profile-out and -ledger
+// are the instrument flags the other commands share; docs/observability.md
+// has their table. -ledger appends one soak record. -cover-target
+// turns the soak coverage-budgeted (run until every architecture's
+// floor reaches the target instead of a fixed round count), and
+// coverage-guided generation (on by default when collecting) biases
+// instruction selection toward uncovered cells. -cover-target and
+// -cover-min imply -cover. Every human-readable summary goes to
+// stderr so stdout stays pipeable.
 //
 // -chaos arms the deterministic fault injector across every layer
 // (docs/robustness.md): panics, solver budget/deadline faults and
@@ -42,10 +43,8 @@
 // in-process run. Incompatible with -adl overrides, since the daemon
 // analyzes with its embedded descriptions.
 //
-// -obs-addr serves live Prometheus metrics, /coverage, expvar and
-// pprof for the duration of the soak; -trace-out writes the Chrome
-// trace_event timeline of the first divergent round (see
-// docs/observability.md).
+// -trace-out writes the Chrome trace_event timeline of the first
+// divergent round (docs/observability.md).
 package main
 
 import (
@@ -58,10 +57,10 @@ import (
 	"time"
 
 	"repro/arch"
+	"repro/internal/cli"
 	"repro/internal/cover"
 	"repro/internal/difftest"
 	"repro/internal/ledger"
-	"repro/internal/obs"
 	"repro/internal/profile"
 )
 
@@ -73,20 +72,19 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated engine worker counts (default 1,2)")
 	steps := flag.Int64("steps", 0, "per-program instruction budget (default 512)")
 	corpus := flag.String("corpus", "", "directory for counterexample files")
-	obsAddr := flag.String("obs-addr", "", "serve live /metrics, /coverage, expvar and pprof on this address")
+	inst := cli.Register(flag.CommandLine, cli.ObsAddr|cli.Cover|cli.Profile|cli.Ledger)
+	flag.Lookup("profile").Usage = "attribute explore-layer cost to guest PCs; the hotspot report goes to stderr"
+	flag.Lookup("ledger").Usage = "append one soak record (rounds, checks, coverage floors) to the run ledger in this directory"
+	// -trace-out is the oracle's own: difftest.Run writes the trace of
+	// the first divergent round.
 	traceOut := flag.String("trace-out", "", "write the Chrome trace of the first divergent round to this file")
-	coverOn := flag.Bool("cover", false, "collect semantic coverage; the matrix goes to stderr")
-	coverOut := flag.String("cover-out", "", "write the coverage report as JSON to this file (implies -cover)")
 	coverGuided := flag.Bool("cover-guided", true, "bias generation toward uncovered instructions (with -cover)")
 	coverTarget := flag.Float64("cover-target", 0, "run until every architecture's coverage floor reaches this fraction (implies -cover)")
 	coverMin := flag.Float64("cover-min", 0, "exit 4 when any architecture's final coverage floor is below this fraction (implies -cover)")
 	layers := flag.String("layers", "", "comma-separated oracle layers to run (roundtrip,concsym,explore,solver,probe,compile; default all)")
-	profileOn := flag.Bool("profile", false, "attribute explore-layer cost to guest PCs; the hotspot report goes to stderr")
-	profileOut := flag.String("profile-out", "", "write the exploration profile as gzipped pprof protobuf to this file (implies -profile)")
 	chaos := flag.Bool("chaos", false, "arm the fault injector at every site (docs/robustness.md)")
 	chaosPeriod := flag.Int("chaos-period", 0, "approximate calls between injected faults per site (default 2000, implies -chaos)")
 	serviceAddr := flag.String("service-addr", "", "also drive a running symexd daemon at this address and match its results against direct runs (docs/service.md)")
-	ledgerDir := flag.String("ledger", "", "append one soak record (rounds, checks, coverage floors) to the run ledger in this directory")
 	verbose := flag.Bool("v", false, "log per-round progress")
 
 	// -adl name=file overrides the subject description for one
@@ -103,6 +101,16 @@ func main() {
 	})
 	flag.Parse()
 
+	// -cover-target and -cover-min need the collector, so they imply
+	// -cover.
+	if *coverTarget > 0 || *coverMin > 0 {
+		inst.CoverOn = true
+	}
+	if err := inst.Arm("difftest"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	defer inst.Close()
 	opts := difftest.Options{
 		Seed:        *seed,
 		Rounds:      *rounds,
@@ -110,38 +118,14 @@ func main() {
 		MaxSteps:    *steps,
 		CorpusDir:   *corpus,
 		TraceOut:    *traceOut,
+		Obs:         inst.Obs,
+		Cover:       inst.Cover,
+		CoverGuided: *coverGuided,
+		CoverTarget: *coverTarget,
+		Profile:     inst.Profile,
 		Chaos:       *chaos || *chaosPeriod > 0,
 		ChaosPeriod: *chaosPeriod,
 		ServiceAddr: *serviceAddr,
-	}
-	// Coverage collection is on when any -cover* flag asks for it, and
-	// also whenever the live endpoint is up, so -obs-addr users get
-	// /coverage with no extra flags.
-	var coll *cover.Collector
-	if *coverOn || *coverOut != "" || *coverTarget > 0 || *coverMin > 0 || *obsAddr != "" {
-		coll = cover.New()
-		opts.Cover = coll
-		opts.CoverGuided = *coverGuided
-		opts.CoverTarget = *coverTarget
-	}
-	var prof *profile.Profiler
-	if *profileOn || *profileOut != "" {
-		prof = profile.New(profile.Meta{ADL: "difftest"})
-		opts.Profile = prof
-	}
-	if *obsAddr != "" {
-		opts.Obs = obs.New()
-		opts.Obs.Cover = coll
-		if prof != nil {
-			opts.Obs.Profile = prof
-		}
-		srv, err := obs.Serve(*obsAddr, opts.Obs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics, /debug/vars, /debug/pprof on %s\n", srv.Addr())
 	}
 	if *arches != "" {
 		opts.Arches = strings.Split(*arches, ",")
@@ -184,45 +168,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Coverage output is fully offline: the JSON report goes to
-	// -cover-out and the human-readable matrix to stderr, keeping
-	// stdout (summary + divergences) pipeable.
-	if coll != nil {
-		if *coverOut != "" {
-			data, err := coll.JSON()
-			if err == nil {
-				err = os.WriteFile(*coverOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cover-out: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "cover-out: wrote coverage report to %s\n", *coverOut)
-		}
-		coll.WriteText(os.Stderr)
-	}
-	// Profile output follows the same discipline: pprof bytes to the
-	// named file, the hotspot report to stderr.
-	if prof != nil {
-		if *profileOut != "" {
-			f, err := os.Create(*profileOut)
-			if err == nil {
-				err = prof.WritePprof(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "profile-out: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "profile-out: wrote pprof profile to %s (go tool pprof -top %s)\n",
-				*profileOut, *profileOut)
-		}
-		if *profileOn {
-			prof.WriteText(os.Stderr)
-		}
-	}
 	// Chaos fault accounting goes to stderr like the other human
 	// summaries; per-site "fired/surfaced" pairs make missing recoveries
 	// obvious at a glance.
@@ -251,12 +196,7 @@ func main() {
 	// gate catches a soak that got slower or stopped reaching cells.
 	// Same-config soaks share a digest regardless of seed — seeds vary
 	// the programs, not the workload class.
-	if *ledgerDir != "" {
-		led, err := ledger.Open(*ledgerDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ledger: %v\n", err)
-			os.Exit(2)
-		}
+	err = inst.Finish(func(cov *cover.Report, _ *profile.Report) ledger.Record {
 		var totalChecks int64
 		for _, n := range res.Checks {
 			totalChecks += n
@@ -275,20 +215,15 @@ func main() {
 			Paths:        int64(res.Rounds),
 			Bugs:         int64(len(res.Divergences)),
 		}
-		if coll != nil {
-			rep := coll.Report()
-			rec.Coverage = make(map[string]float64, len(rep.ISAs))
-			for _, ir := range rep.ISAs {
-				rec.Coverage[ir.ISA] = ir.Floor()
-			}
+		rec.Coverage = make(map[string]float64, len(cov.ISAs))
+		for _, ir := range cov.ISAs {
+			rec.Coverage[ir.ISA] = ir.Floor()
 		}
-		if err := led.Append(rec); err != nil {
-			fmt.Fprintf(os.Stderr, "ledger: %v\n", err)
-			led.Close()
-			os.Exit(2)
-		}
-		led.Close()
-		fmt.Fprintf(os.Stderr, "ledger: appended soak record %s to %s\n", rec.Digest, led.Path())
+		return rec
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	fmt.Print(res.Summary())
@@ -298,9 +233,9 @@ func main() {
 	if len(res.Divergences) > 0 {
 		os.Exit(1)
 	}
-	if *coverMin > 0 && coll != nil {
+	if *coverMin > 0 {
 		low := false
-		for _, ir := range coll.Report().ISAs {
+		for _, ir := range inst.Cover.Report().ISAs {
 			if f := ir.Floor(); f < *coverMin {
 				fmt.Fprintf(os.Stderr, "difftest: %s coverage floor %.1f%% is below -cover-min %.1f%%\n",
 					ir.ISA, 100*f, 100**coverMin)

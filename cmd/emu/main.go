@@ -10,8 +10,8 @@
 // default (docs/compile.md); -no-compile interprets every instruction.
 //
 // -cover and -cover-out measure semantic coverage of the loaded ADL on
-// the concrete layer (docs/coverage.md): the JSON report goes to the
-// named file, the human-readable matrix to stderr.
+// the concrete layer (docs/coverage.md); they are the instrument flags
+// the other commands share (table in docs/observability.md).
 package main
 
 import (
@@ -20,8 +20,8 @@ import (
 	"os"
 
 	"repro/arch"
+	"repro/internal/cli"
 	"repro/internal/conc"
-	"repro/internal/cover"
 	"repro/internal/decoder"
 	"repro/internal/prog"
 )
@@ -31,8 +31,7 @@ func main() {
 	steps := flag.Int64("steps", 1_000_000, "instruction budget")
 	trace := flag.Bool("trace", false, "print each executed instruction")
 	noCompile := flag.Bool("no-compile", false, "disable the semantics compiler and superblocks (docs/compile.md)")
-	coverOn := flag.Bool("cover", false, "collect semantic coverage; the matrix goes to stderr")
-	coverOut := flag.String("cover-out", "", "write the coverage report as JSON to this file (implies -cover)")
+	inst := cli.Register(flag.CommandLine, cli.Cover)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: emu [-input s] [-steps n] [-trace] <image.rimg>")
@@ -53,13 +52,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if err := inst.Arm(p.Arch); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	m := conc.NewMachine(a)
 	m.NoCompile = *noCompile
-	var coll *cover.Collector
-	if *coverOn || *coverOut != "" {
-		coll = cover.New()
-		m.SetCover(coll.Bind(a))
-	}
+	m.SetCover(inst.Cover.Bind(a))
 	m.LoadProgram(p)
 	m.Input = []byte(*input)
 
@@ -88,21 +87,9 @@ func main() {
 		stop = m.Run(*steps)
 	}
 
-	// Coverage output stays off stdout: JSON to -cover-out, the matrix
-	// to stderr.
-	if coll != nil {
-		if *coverOut != "" {
-			data, err := coll.JSON()
-			if err == nil {
-				err = os.WriteFile(*coverOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cover-out: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "cover-out: wrote coverage report to %s\n", *coverOut)
-		}
-		coll.WriteText(os.Stderr)
+	if err := inst.Finish(nil); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	fmt.Printf("stopped: %v after %d instructions\n", stop, m.Steps)

@@ -17,6 +17,10 @@
 // the ledger append, and durable checkpoints at three paces (1 worker
 // only) — against one shared off baseline and A/A floor per workload
 // and worker count.
+//
+// -obs-addr serves expvar, pprof and build_info while the experiments
+// run; it is the instrument flag the other commands share (table in
+// docs/observability.md).
 package main
 
 import (
@@ -27,27 +31,24 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/harness"
-	"repro/internal/obs"
 )
 
 func main() {
 	only := flag.String("only", "", "run a single experiment (table1..table5, fig1..fig4, parallel, overhead, obs-stages, coverage, compile, service-cache, ledger)")
 	workers := flag.String("workers", "1,2,4", "comma-separated worker counts for -only parallel/overhead/ledger (0 = all CPUs)")
-	obsAddr := flag.String("obs-addr", "", "serve expvar and pprof on this address while experiments run (for live profiling)")
+	inst := cli.Register(flag.CommandLine, cli.ObsAddr)
+	flag.Lookup("obs-addr").Usage = "serve expvar and pprof on this address while experiments run (for live profiling)"
 	ledgerDir := flag.String("ledger", "", "run-ledger directory for -only ledger (empty = throwaway temp dir)")
 	benchOut := flag.String("bench-out", "BENCH_ledger.json", "trajectory export path for -only ledger")
 	flag.Parse()
 
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, obs.New())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics, /debug/vars, /debug/pprof on %s\n", srv.Addr())
+	if err := inst.Arm(""); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	defer inst.Close()
 
 	var workerCounts []int
 	for _, f := range strings.Split(*workers, ",") {

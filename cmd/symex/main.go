@@ -5,41 +5,21 @@
 // Usage:
 //
 //	symex [-inputs N] [-steps N] [-paths N] [-strategy s] [-workers N] [-paths-detail]
+//	      [-dump-smtlib N] [-concolic N [-seed s]] [-no-query-cache]
 //	      [-solver-deadline 2s] [-state-budget N]
-//	      [-cover] [-cover-out cover.json] [-obs-addr :8089] [-trace-out trace.json]
+//	      [-obs-addr :8089] [-trace-out trace.json] [-cover] [-cover-out cover.json]
 //	      [-profile] [-profile-out prof.pb.gz] [-profile-json prof.json]
 //	      [-ledger DIR] [-ledger-gate] [-ledger-fake-slowdown D]
 //	      <image.rimg>
 //
-// Execution runs through the semantics compiler and superblock cache
-// (docs/compile.md); the compile/superblock summary goes to stderr with
-// the other diagnostics.
+// The per-path summary goes to stdout; worker, cache and compile
+// statistics go to stderr so stdout stays pipeable. The exit status is
+// 3 when the checkers found bugs.
 //
-// The per-path summary goes to stdout; worker and cache statistics go to
-// stderr so stdout stays pipeable. -obs-addr serves live Prometheus
-// metrics, /coverage, expvar and pprof for the duration of the run;
-// -trace-out writes the exploration timeline as Chrome trace_event
-// JSON, loadable by Perfetto (see docs/observability.md). -cover and
-// -cover-out measure semantic coverage of the loaded ADL
-// (docs/coverage.md) fully offline: the JSON report goes to the named
-// file and the human-readable matrix to stderr.
-//
-// -profile attributes exploration cost (solver time, queries, forks,
-// step time, kills) to guest program counters and prints the ranked
-// hotspot report — including diamond fork/rejoin merge candidates — to
-// stderr. -profile-out writes the same attribution as a gzipped pprof
-// protobuf whose locations are guest PCs, so
-// `go tool pprof -top prof.pb.gz` renders a guest-code profile;
-// -profile-json writes the machine-readable report. Any of the three
-// arms the profiler (see docs/observability.md).
-//
-// -ledger appends one run record (cost, shape, coverage, hotspots) to
-// the append-only run ledger in DIR; -ledger-gate then diffs the run
-// against the rolling median of prior runs of the same configuration
-// and exits 5 naming the regressed metric on stderr when wall time,
-// solver time, or coverage moved the wrong way (docs/observability.md).
-// -ledger-fake-slowdown inflates the recorded times before gating — a
-// testing aid that makes the red path demonstrable on demand.
+// The instrument flags (-obs-addr through -ledger-fake-slowdown) are
+// the ones the other commands share; docs/observability.md has their
+// table. -ledger-gate exits 5 when the run regressed against the
+// rolling median of its prior same-config runs.
 //
 // -solver-deadline and -state-budget arm the resource governor
 // (docs/robustness.md): a query past the wall-clock deadline or a state
@@ -49,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,11 +38,11 @@ import (
 
 	"repro/arch"
 	"repro/internal/checker"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/expr"
 	"repro/internal/ledger"
-	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/prog"
 )
@@ -79,16 +60,7 @@ func main() {
 	noCache := flag.Bool("no-query-cache", false, "disable the shared solver-query cache")
 	solverDeadline := flag.Duration("solver-deadline", 0, "wall-clock budget per solver query; expiry over-approximates (docs/robustness.md)")
 	stateBudget := flag.Int("state-budget", 0, "per-state symbolic term budget; oversized states are killed gracefully")
-	obsAddr := flag.String("obs-addr", "", "serve live /metrics, /coverage, expvar and pprof on this address")
-	traceOut := flag.String("trace-out", "", "write the exploration trace as Chrome trace_event JSON to this file")
-	coverOn := flag.Bool("cover", false, "collect semantic coverage; the matrix goes to stderr")
-	coverOut := flag.String("cover-out", "", "write the coverage report as JSON to this file (implies -cover)")
-	profileOn := flag.Bool("profile", false, "attribute exploration cost to guest PCs; the hotspot report goes to stderr")
-	profileOut := flag.String("profile-out", "", "write the exploration profile as gzipped pprof protobuf to this file (implies -profile)")
-	profileJSON := flag.String("profile-json", "", "write the exploration profile report as JSON to this file (implies -profile)")
-	ledgerDir := flag.String("ledger", "", "append this run's record to the run ledger in this directory (docs/observability.md)")
-	ledgerGate := flag.Bool("ledger-gate", false, "gate this run against its rolling same-config baseline; a regression names the metric on stderr and exits 5")
-	ledgerSlow := flag.Duration("ledger-fake-slowdown", 0, "testing aid: inflate the recorded wall and solver times by this duration before gating")
+	inst := cli.Register(flag.CommandLine, cli.ObsAddr|cli.TraceOut|cli.Cover|cli.Profile|cli.ProfileJSON|cli.Ledger|cli.LedgerGate)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: symex [flags] <image.rimg>")
@@ -130,168 +102,38 @@ func main() {
 		*workers = runtime.NumCPU()
 	}
 
-	// Coverage collection is on when a -cover* flag asks for it, and
-	// also whenever the live endpoint is up, so -obs-addr users get
-	// /coverage with no extra flags.
-	var coll *cover.Collector
-	if *coverOn || *coverOut != "" || *obsAddr != "" {
-		coll = cover.New()
+	if err := inst.Arm(p.Arch); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	var o *obs.Obs
-	if *obsAddr != "" || *traceOut != "" {
-		if *traceOut != "" {
-			o = obs.NewTracing()
-		} else {
-			o = obs.New()
+	defer inst.Close()
+	// finish writes the instruments' outputs and the run's ledger
+	// record. A -ledger-gate regression exits 5 (distinct from the bug
+	// exit 3), so CI can tell "got slower" from "found bugs".
+	finish := func(st core.Stats, mode string, bugs int) {
+		err := inst.Finish(func(cov *cover.Report, prof *profile.Report) ledger.Record {
+			summary := fmt.Sprintf("mode=%s inputs=%d steps=%d paths=%d workers=%d strategy=%s",
+				mode, *inputs, *steps, *paths, *workers, *strategy)
+			return ledger.Build(ledger.BuildInput{
+				Source:  "symex",
+				Label:   flag.Arg(0),
+				Digest:  ledger.Digest(p.Arch, raw, summary),
+				ISA:     p.Arch,
+				Mode:    mode,
+				Workers: *workers,
+				Bugs:    bugs,
+				Stats:   st,
+				Cover:   cov,
+				Profile: prof,
+				Now:     time.Now(),
+			})
+		})
+		if errors.Is(err, cli.ErrRegressed) {
+			os.Exit(5)
 		}
-		if coll != nil {
-			o.Cover = coll
-		}
-		obs.RegisterBuildInfo(o.Reg, len(arch.Names()))
-	}
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, o)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics, /debug/vars, /debug/pprof on %s\n", srv.Addr())
-	}
-	dumpTrace := func() {
-		if *traceOut == "" {
-			return
-		}
-		if err := o.Trace.WriteChromeFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "trace-out: %d events -> %s (open with ui.perfetto.dev)\n",
-			o.Trace.Len(), *traceOut)
-	}
-	var prof *profile.Profiler
-	if *profileOn || *profileOut != "" || *profileJSON != "" {
-		prof = profile.New(profile.Meta{ADL: p.Arch})
-	}
-	// Profile output follows the coverage discipline: every surface is
-	// a diagnostic (stderr or a named file), stdout stays pipeable.
-	dumpProfile := func() {
-		if prof == nil {
-			return
-		}
-		if *profileOut != "" {
-			f, err := os.Create(*profileOut)
-			if err == nil {
-				err = prof.WritePprof(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "profile-out: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "profile-out: wrote pprof profile to %s (go tool pprof -top %s)\n",
-				*profileOut, *profileOut)
-		}
-		if *profileJSON != "" {
-			data, err := prof.JSON()
-			if err == nil {
-				err = os.WriteFile(*profileJSON, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "profile-json: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "profile-json: wrote profile report to %s\n", *profileJSON)
-		}
-		if *profileOn {
-			prof.WriteText(os.Stderr)
-		}
-	}
-	// Coverage output is fully offline: JSON to -cover-out, the
-	// human-readable matrix to stderr, stdout untouched.
-	dumpCover := func() {
-		if coll == nil {
-			return
-		}
-		if *coverOut != "" {
-			data, err := coll.JSON()
-			if err == nil {
-				err = os.WriteFile(*coverOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cover-out: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "cover-out: wrote coverage report to %s\n", *coverOut)
-		}
-		if *coverOn || *coverOut != "" {
-			coll.WriteText(os.Stderr)
-		}
-	}
-
-	// recordLedger appends this run to the run ledger and, with
-	// -ledger-gate, diffs it against the rolling median of prior runs of
-	// the same configuration. A regression names the offending metric on
-	// stderr and exits 5 (distinct from the bug exit 3), so CI can tell
-	// "got slower" from "found bugs".
-	recordLedger := func(st core.Stats, mode string, bugs int) {
-		if *ledgerDir == "" {
-			return
-		}
-		led, err := ledger.Open(*ledgerDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ledger: %v\n", err)
-			os.Exit(1)
-		}
-		defer led.Close()
-		summary := fmt.Sprintf("mode=%s inputs=%d steps=%d paths=%d workers=%d strategy=%s",
-			mode, *inputs, *steps, *paths, *workers, *strategy)
-		in := ledger.BuildInput{
-			Source:  "symex",
-			Label:   flag.Arg(0),
-			Digest:  ledger.Digest(p.Arch, raw, summary),
-			ISA:     p.Arch,
-			Mode:    mode,
-			Workers: *workers,
-			Bugs:    bugs,
-			Stats:   st,
-			Now:     time.Now(),
-		}
-		if coll != nil {
-			in.Cover = coll.Report()
-		}
-		if prof != nil {
-			in.Profile = prof.Report()
-		}
-		rec := ledger.Build(in)
-		if *ledgerSlow > 0 {
-			rec.WallNS += int64(*ledgerSlow)
-			rec.SolverNS += int64(*ledgerSlow)
-		}
-		history := led.Records()
-		if err := led.Append(rec); err != nil {
-			fmt.Fprintf(os.Stderr, "ledger: %v\n", err)
-			os.Exit(1)
-		}
-		prior := 0
-		for _, r := range history {
-			if r.Digest == rec.Digest {
-				prior++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "ledger: appended run %s (%d prior runs of this config) to %s\n",
-			rec.Digest, prior, led.Path())
-		if *ledgerGate {
-			if regs := ledger.Gate(history, rec, ledger.GateOptions{}); len(regs) > 0 {
-				for _, r := range regs {
-					fmt.Fprintf(os.Stderr, "ledger-gate: %s\n", r)
-				}
-				os.Exit(5)
-			}
-			fmt.Fprintf(os.Stderr, "ledger-gate: green (wall %v, solver %v vs %d-run baseline)\n",
-				rec.Wall().Round(time.Microsecond), rec.Solver().Round(time.Microsecond), prior)
 		}
 	}
 
@@ -304,28 +146,21 @@ func main() {
 		NoQueryCache:   *noCache,
 		SolverDeadline: *solverDeadline,
 		MaxStateTerms:  *stateBudget,
-		Obs:            o,
-		Cover:          coll,
-		Profile:        prof,
+		Obs:            inst.Obs,
+		Cover:          inst.Cover,
+		Profile:        inst.Profile,
 	})
 	for _, c := range checker.All() {
 		e.AddChecker(c)
 	}
 
 	if *concolic > 0 {
-		t0 := time.Now()
 		rep, err := e.Concolic([]byte(*seed), *concolic)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		dumpTrace()
-		dumpCover()
-		dumpProfile()
-		cs := rep.Stats
-		cs.Coverage = rep.Coverage
-		cs.WallTime = time.Since(t0) // the concolic loop doesn't time itself
-		recordLedger(cs, "concolic", len(rep.Bugs))
+		finish(rep.Stats, "concolic", len(rep.Bugs))
 		if len(rep.Faults) > 0 {
 			fmt.Fprintf(os.Stderr, "faults: %d runs ended by recovered panics:\n", len(rep.Faults))
 			for _, f := range rep.Faults {
@@ -333,7 +168,7 @@ func main() {
 			}
 		}
 		fmt.Printf("%s: %d concrete runs, %d solver-derived inputs, %d instructions covered\n",
-			p.Arch, len(rep.Paths), rep.Solved, rep.Coverage)
+			p.Arch, len(rep.Paths), rep.Solved, rep.Stats.Coverage)
 		for i, pth := range rep.Paths {
 			fmt.Printf("  run %2d: input % x -> %v, output %q\n", i, pth.Input, pth.Status, pth.Output)
 		}
@@ -353,10 +188,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	dumpTrace()
-	dumpCover()
-	dumpProfile()
-	recordLedger(r.Stats, "explore", len(r.Bugs))
+	finish(r.Stats, "explore", len(r.Bugs))
 
 	fmt.Printf("%s: %d paths, %d instructions, %d forks (%d infeasible), %v\n",
 		p.Arch, len(r.Paths), r.Stats.Instructions, r.Stats.Forks,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/expr"
 	"repro/internal/smt"
@@ -28,11 +29,10 @@ type ConcolicPath struct {
 
 // ConcolicReport is the outcome of a generational search.
 type ConcolicReport struct {
-	Paths    []ConcolicPath
-	Bugs     []Bug
-	Coverage int   // distinct instruction addresses executed
-	Solved   int   // inputs derived from solver models
-	Stats    Stats // engine counters accumulated over all replays
+	Paths  []ConcolicPath
+	Bugs   []Bug
+	Solved int   // inputs derived from solver models
+	Stats  Stats // engine counters accumulated over all replays
 
 	// Faults lists every panic recovered during the search: per-replay
 	// path faults plus flip-solve recoveries (docs/robustness.md).
@@ -44,11 +44,11 @@ type ConcolicReport struct {
 // order, preferring those derived from deeper branch flips first (the
 // classic heuristic).
 func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
+	t0 := time.Now()
 	e.report = Report{}
 	e.bugSeen = newBugDedup()
 	defer e.rec.fold()
 	rep := &ConcolicReport{}
-	covered := map[uint64]bool{}
 	tried := map[string]bool{}
 	// explored records branch-condition prefixes already executed or
 	// queued, so sibling paths are not re-derived (SAGE's path dedup).
@@ -64,7 +64,7 @@ func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 		input := queue[0]
 		queue = queue[1:]
 
-		path, conds, err := e.runConcolic(input, covered)
+		path, conds, err := e.runConcolic(input)
 		if err != nil {
 			return nil, err
 		}
@@ -110,9 +110,10 @@ func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 		}
 		queue = append(queue, newInputs...)
 	}
-	rep.Coverage = len(covered)
 	rep.Stats = e.report.Stats
 	rep.Stats.Solver = e.Solver.Stats
+	rep.Stats.Coverage = len(e.visits)
+	rep.Stats.WallTime = time.Since(t0)
 	rep.Faults = append(rep.Faults, e.report.Faults...)
 	rep.Bugs = append(rep.Bugs, e.report.Bugs...)
 	sort.Slice(rep.Bugs, func(i, j int) bool { return rep.Bugs[i].PC < rep.Bugs[j].PC })
@@ -129,18 +130,15 @@ func normalizeInput(in []byte, n int) []byte {
 
 // runConcolic executes the single path induced by the concrete input,
 // returning the collected symbolic branch conditions in path order.
-func (e *Engine) runConcolic(input []byte, covered map[uint64]bool) (*ConcolicPath, []*expr.Expr, error) {
-	out := &ConcolicPath{Input: input}
-	end, env, err := e.followConcrete(input, func(st *State) {
-		if !covered[st.PC] {
-			covered[st.PC] = true
-			out.NewPCs++
-		}
-	}, "core: concolic replay is ambiguous at %#x", "core: concolic replay lost the concrete path at %#x")
+func (e *Engine) runConcolic(input []byte) (*ConcolicPath, []*expr.Expr, error) {
+	before := len(e.visits)
+	end, env, err := e.followConcrete(input,
+		"core: concolic replay is ambiguous at %#x", "core: concolic replay lost the concrete path at %#x")
 	if err != nil {
 		return nil, nil, err
 	}
 	e.rec.pathEnd(end)
+	out := &ConcolicPath{Input: input, NewPCs: len(e.visits) - before}
 	out.Status = end.Status
 	out.Fault = end.Fault
 	out.Steps = end.Steps
@@ -155,10 +153,9 @@ func (e *Engine) runConcolic(input []byte, covered map[uint64]bool) (*ConcolicPa
 // input environment. At each step it keeps the unique child consistent
 // with the input; siblings belong to other inputs and are dropped.
 // While it runs, address concretization and jump enumeration are pinned
-// to the input. visit, if not nil, sees each state before it steps.
-// ambiguous and lost are the caller's error formats, given the PC, for
+// to the input. ambiguous and lost are the caller's error formats, given the PC, for
 // a step that leaves two consistent children or none.
-func (e *Engine) followConcrete(input []byte, visit func(*State), ambiguous, lost string) (*State, expr.Env, error) {
+func (e *Engine) followConcrete(input []byte, ambiguous, lost string) (*State, expr.Env, error) {
 	env := expr.Env{}
 	for i, b := range input {
 		env[e.inputName(i)] = uint64(b)
@@ -168,9 +165,6 @@ func (e *Engine) followConcrete(input []byte, visit func(*State), ambiguous, los
 	defer func() { e.concEnv = nil }()
 
 	for {
-		if visit != nil {
-			visit(st)
-		}
 		prevLen := len(st.PathCond)
 		children, err := e.safeStep(st)
 		if err != nil {

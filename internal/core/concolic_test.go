@@ -129,7 +129,7 @@ small:
 	if rep.Solved != 1 {
 		t.Errorf("solved inputs = %d, want 1", rep.Solved)
 	}
-	if rep.Coverage == 0 {
+	if rep.Stats.Coverage == 0 {
 		t.Error("no coverage recorded")
 	}
 }
@@ -196,5 +196,49 @@ out:
 	}
 	if withOut == nil || withOut.Input[0] != 77 {
 		t.Fatalf("solver did not derive the magic byte: %+v", rep.Paths)
+	}
+}
+
+func TestConcolicCoverageCountsSuperblockInsns(t *testing.T) {
+	// A step runs a whole superblock, so coverage must count every
+	// instruction executed inside one, not only the step's first PC:
+	// concolic runs that reach both exits cover what exploration does.
+	src := `
+_start:
+	trap 1
+	li   r2, 10
+	li   r3, 11
+	li   r4, 12
+	addi r3, r3, 1
+	bltu r1, r2, low
+	li   r1, 1
+	trap 2
+	trap 0
+low:
+	li   r1, 0
+	trap 2
+	trap 0
+`
+	_, r := analyze(t, "tiny32", src, core.Options{InputBytes: 1}, false)
+	e := concolicEngine(t, "tiny32", src, core.Options{InputBytes: 1}, false)
+	rep, err := e.Concolic([]byte{200}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Paths) != 2 {
+		t.Fatalf("runs = %d, want 2", len(rep.Paths))
+	}
+	if rep.Stats.Coverage != r.Stats.Coverage {
+		t.Errorf("concolic coverage = %d, exploration's = %d", rep.Stats.Coverage, r.Stats.Coverage)
+	}
+	newPCs := 0
+	for _, p := range rep.Paths {
+		newPCs += p.NewPCs
+	}
+	if newPCs != rep.Stats.Coverage {
+		t.Errorf("runs' new PCs sum to %d, coverage is %d", newPCs, rep.Stats.Coverage)
+	}
+	if rep.Stats.WallTime <= 0 {
+		t.Error("concolic run not timed")
 	}
 }

@@ -66,10 +66,6 @@ type Options struct {
 	// before reporting EOF (default 8).
 	InputBytes int
 
-	// MaxJumpTargets bounds solver-driven enumeration of symbolic jump
-	// targets (default 4).
-	MaxJumpTargets int
-
 	// MaxSolverConflicts bounds each SMT query (0 = unlimited).
 	MaxSolverConflicts int64
 
@@ -94,7 +90,7 @@ type Options struct {
 	// and re-homes stolen states onto its builder via a term-transfer
 	// pass. The explored path set, the bug sites and the coverage are
 	// deterministic and identical to a serial run as long as no budget
-	// (MaxPaths, MaxStates, TimeBudget, StopOnBug) truncates the search;
+	// (MaxPaths, MaxStates, StopOnBug, Cancel) truncates the search;
 	// see docs/engine.md for exactly which report fields stay bit-stable.
 	Workers int
 
@@ -123,10 +119,6 @@ type Options struct {
 	// Off by default: end states pin every register expression in memory
 	// for the lifetime of the report.
 	CaptureEndState bool
-
-	// TimeBudget bounds the wall-clock time of a Run (0 = unlimited).
-	// Checked between instructions; remaining live states are killed.
-	TimeBudget time.Duration
 
 	// Obs attaches the telemetry subsystem (internal/obs): registry-
 	// backed counters, gauges and latency histograms fed from the hot
@@ -240,9 +232,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.InputBytes == 0 {
 		o.InputBytes = 8
-	}
-	if o.MaxJumpTargets == 0 {
-		o.MaxJumpTargets = 4
 	}
 	// StackBase/StackSize default in NewEngine, which knows the address
 	// width.

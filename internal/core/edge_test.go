@@ -260,8 +260,11 @@ small:
 }
 
 func TestTimeBudget(t *testing.T) {
-	// An unbounded symbolic loop with a tiny wall-clock budget must stop
+	// An unbounded symbolic loop whose Cancel closes after 20ms must stop
 	// promptly rather than exhausting the path budget.
+	cancel := make(chan struct{})
+	timer := time.AfterFunc(20*time.Millisecond, func() { close(cancel) })
+	defer timer.Stop()
 	_, r := analyze(t, "tiny32", `
 _start:
 	trap 1
@@ -270,9 +273,8 @@ loop:
 	li   r2, 0
 	bne  r1, r2, loop
 	trap 0
-`, core.Options{InputBytes: 1, MaxSteps: 1 << 30, TimeBudget: 20 * time.Millisecond}, false)
+`, core.Options{InputBytes: 1, MaxSteps: 1 << 30, Cancel: cancel}, false)
 	if r.Stats.WallTime > 2*time.Second {
-		t.Errorf("run took %v despite a 20ms budget", r.Stats.WallTime)
+		t.Errorf("run took %v despite a cancel after 20ms", r.Stats.WallTime)
 	}
-	_ = r
 }

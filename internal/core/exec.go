@@ -73,8 +73,6 @@ func (e *Engine) Run() (*Report, error) {
 			killReason = "max-paths"
 		case e.Opts.StopOnBug && len(e.report.Bugs) > 0:
 			killReason = "stop-on-bug"
-		case e.Opts.TimeBudget > 0 && time.Since(t0) > e.Opts.TimeBudget:
-			killReason = "time-budget"
 		case canceled(e.Opts.Cancel):
 			killReason = "canceled"
 		}
@@ -486,8 +484,12 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 	return out, nil
 }
 
+// maxJumpTargets bounds the solver models enumerateJump draws for one
+// symbolic jump target.
+const maxJumpTargets = 4
+
 // enumerateJump concretizes a general symbolic jump target by repeated
-// solver models, up to MaxJumpTargets.
+// solver models, up to maxJumpTargets.
 func (e *Engine) enumerateJump(st *State, pcv *expr.Expr) ([]*State, error) {
 	if e.concEnv != nil {
 		// Concolic replay: follow the concrete target only.
@@ -498,7 +500,7 @@ func (e *Engine) enumerateJump(st *State, pcv *expr.Expr) ([]*State, error) {
 	}
 	var out []*State
 	excl := append([]*expr.Expr(nil), st.PathCond...)
-	for i := 0; i < e.Opts.MaxJumpTargets; i++ {
+	for i := 0; i < maxJumpTargets; i++ {
 		t0 := e.rec.clock()
 		r, err := e.Solver.Check(excl...)
 		e.rec.span("jump-enum", st, t0, func() string { return fmt.Sprintf("model %d: %v", i, r) })

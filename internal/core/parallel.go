@@ -255,7 +255,6 @@ type parRun struct {
 	front     *frontier
 	pathsDone atomic.Int64
 	bugCount  atomic.Int64
-	deadline  time.Time
 
 	errMu sync.Mutex
 	err   error
@@ -271,9 +270,6 @@ func (pr *parRun) stopNow() bool {
 		return true
 	}
 	if pr.opts.StopOnBug && pr.bugCount.Load() > 0 {
-		return true
-	}
-	if !pr.deadline.IsZero() && time.Now().After(pr.deadline) {
 		return true
 	}
 	return false
@@ -416,9 +412,6 @@ func (e *Engine) runParallel() (*Report, error) {
 	vt := newVisitTable()
 	pr := &parRun{opts: e.Opts}
 	pr.front = newFrontier(nw, e.Opts, vt, &e.rec)
-	if e.Opts.TimeBudget > 0 {
-		pr.deadline = t0.Add(e.Opts.TimeBudget)
-	}
 
 	workers := make([]*Engine, nw)
 	for i := range workers {

@@ -27,7 +27,7 @@ type Replay struct {
 // a concrete reference machine reports EOF instead.
 func (e *Engine) ReplayConcrete(input []byte) (*Replay, error) {
 	defer e.rec.fold()
-	end, env, err := e.followConcrete(input, nil,
+	end, env, err := e.followConcrete(input,
 		"core: concrete replay is ambiguous at %#x", "core: concrete replay lost the path at %#x")
 	if err != nil {
 		return nil, err

@@ -601,7 +601,7 @@ func RunTable4(maxK int) Table4 {
 			ConcRuns:     len(cr.Paths),
 			ConcQueries:  e2.Solver.Stats.Queries,
 			ConcTime:     time.Since(t0),
-			ConcCoverage: cr.Coverage,
+			ConcCoverage: cr.Stats.Coverage,
 		})
 	}
 	return t

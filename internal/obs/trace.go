@@ -263,16 +263,3 @@ func (t *Tracer) WriteChromeFile(path string) error {
 	}
 	return f.Close()
 }
-
-// WriteJSONLFile writes the JSONL trace to a file.
-func (t *Tracer) WriteJSONLFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

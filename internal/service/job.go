@@ -376,7 +376,7 @@ func (s *Server) runExplore(j *Job, e *core.Engine, t0 time.Time) {
 		s.failJob(j, &JobError{Code: CodeStalled, Msg: fr.Msg, Fault: fr}, nil)
 		return
 	}
-	stats := exploreStats(rep, t0)
+	stats := jobStats(rep.Stats, len(rep.Paths), len(rep.Bugs), t0)
 	j.mu.Lock()
 	cs := rep.Stats
 	j.coreStats = &cs
@@ -417,13 +417,9 @@ func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
 		s.failJob(j, &JobError{Code: CodeStalled, Msg: fr.Msg, Fault: fr}, nil)
 		return
 	}
-	stats := concolicStats(rep, t0)
+	stats := jobStats(rep.Stats, len(rep.Paths), len(rep.Bugs), t0)
 	j.mu.Lock()
 	cs := rep.Stats
-	cs.Coverage = rep.Coverage
-	if cs.WallTime == 0 {
-		cs.WallTime = time.Since(t0) // the concolic loop doesn't time itself
-	}
 	j.coreStats = &cs
 	j.mu.Unlock()
 	for i, p := range rep.Paths {
@@ -439,7 +435,7 @@ func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
 	for _, f := range rep.Faults {
 		j.emit(Event{Type: "fault", Fault: &FaultRecord{Layer: f.Layer, PC: f.PC, Msg: f.Msg}})
 	}
-	j.emit(Event{Type: "coverage", Coverage: &CoverageEvent{Covered: rep.Coverage}})
+	j.emit(Event{Type: "coverage", Coverage: &CoverageEvent{Covered: rep.Stats.Coverage}})
 	j.emit(Event{Type: "done", Done: stats})
 
 	if j.cancelReq.Load() {
@@ -449,11 +445,12 @@ func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
 	j.finish(StateDone, nil, stats)
 }
 
-func exploreStats(rep *core.Report, t0 time.Time) *JobStats {
-	st := rep.Stats
+// jobStats is the job's summary of one finished run: the engine's
+// counters plus the report's path and bug counts.
+func jobStats(st core.Stats, paths, bugs int, t0 time.Time) *JobStats {
 	return &JobStats{
-		Paths:        len(rep.Paths),
-		Bugs:         len(rep.Bugs),
+		Paths:        paths,
+		Bugs:         bugs,
 		Instructions: st.Instructions,
 		Forks:        st.Forks,
 		SolverQs:     st.Solver.Queries,
@@ -462,23 +459,6 @@ func exploreStats(rep *core.Report, t0 time.Time) *JobStats {
 		PathFaults:   st.PathFaults,
 		Degraded:     st.Degraded.Total(),
 		Coverage:     st.Coverage,
-		WallMS:       time.Since(t0).Milliseconds(),
-	}
-}
-
-func concolicStats(rep *core.ConcolicReport, t0 time.Time) *JobStats {
-	st := rep.Stats
-	return &JobStats{
-		Paths:        len(rep.Paths),
-		Bugs:         len(rep.Bugs),
-		Instructions: st.Instructions,
-		Forks:        st.Forks,
-		SolverQs:     st.Solver.Queries,
-		CacheHits:    st.Solver.CacheHits,
-		CacheMisses:  st.Solver.CacheMisses,
-		PathFaults:   st.PathFaults,
-		Degraded:     st.Degraded.Total(),
-		Coverage:     rep.Coverage,
 		WallMS:       time.Since(t0).Milliseconds(),
 	}
 }
