@@ -199,8 +199,8 @@ func main() {
 	// Cache and worker statistics are diagnostics, not results: they go
 	// to stderr so stdout stays pipeable.
 	if h, m := r.Stats.Solver.CacheHits, r.Stats.Solver.CacheMisses; h+m > 0 {
-		fmt.Fprintf(os.Stderr, "query cache: %d hits / %d misses (%.1f%% hit rate)\n",
-			h, m, 100*float64(h)/float64(h+m))
+		fmt.Fprintf(os.Stderr, "query cache: %d hits (%d from parent models) / %d misses (%.1f%% hit rate)\n",
+			h, r.Stats.Solver.ModelHits, m, 100*float64(h)/float64(h+m))
 	}
 	// Semantics-compiler statistics (docs/compile.md): how much of the
 	// run executed through compiled units and superblocks.

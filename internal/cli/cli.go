@@ -143,11 +143,12 @@ func (x *Instruments) Close() {
 
 // Finish writes every output the flags ask for, in order: the Chrome
 // trace, the coverage JSON and matrix, the pprof profile, the profile
-// JSON and hotspot report, and with -ledger the run record, which
-// record builds from the coverage and profile reports (empty when that
-// instrument is off). With -ledger-gate it then prints the gate's
-// verdict and returns ErrRegressed on a regression. Any other error
-// names the flag whose output failed.
+// JSON and hotspot report (printed whenever a profile flag armed the
+// profiler, as a coverage flag prints the matrix), and with -ledger the
+// run record, which record builds from the coverage and profile reports
+// (empty when that instrument is off). With -ledger-gate it then prints
+// the gate's verdict and returns ErrRegressed on a regression. Any other
+// error names the flag whose output failed.
 func (x *Instruments) Finish(record func(*cover.Report, *profile.Report) ledger.Record) error {
 	if x.TraceOut != "" {
 		if err := x.Obs.Trace.WriteChromeFile(x.TraceOut); err != nil {
@@ -193,7 +194,7 @@ func (x *Instruments) Finish(record func(*cover.Report, *profile.Report) ledger.
 		}
 		fmt.Fprintf(os.Stderr, "profile-json: wrote profile report to %s\n", x.ProfileJSON)
 	}
-	if x.ProfileOn {
+	if x.Profile != nil {
 		x.Profile.WriteText(os.Stderr)
 	}
 	if x.LedgerDir == "" {

@@ -17,24 +17,11 @@ import (
 
 	"repro/arch"
 	"repro/internal/asm"
+	"repro/internal/cmdtest"
 	"repro/internal/cover"
 	"repro/internal/harness"
 	"repro/internal/profile"
 )
-
-// buildCmds builds the named commands into dir and returns their paths.
-func buildCmds(t *testing.T, dir string, names ...string) map[string]string {
-	t.Helper()
-	bins := map[string]string{}
-	for _, n := range names {
-		bin := filepath.Join(dir, n)
-		if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/"+n).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", n, err, out)
-		}
-		bins[n] = bin
-	}
-	return bins
-}
 
 // run executes bin and returns its stderr, failing the test on a
 // nonzero exit.
@@ -64,7 +51,7 @@ func TestFlagNamesPinned(t *testing.T) {
 		"emu":         "input steps trace no-compile cover cover-out",
 		"experiments": "only workers obs-addr ledger bench-out",
 	}
-	bins := buildCmds(t, t.TempDir(), "symex", "difftest", "emu", "experiments")
+	bins := cmdtest.Build(t, t.TempDir(), "symex", "difftest", "emu", "experiments")
 	for name, bin := range bins {
 		// -h prints the flags to stderr and exits 0.
 		out, err := exec.Command(bin, "-h").CombinedOutput()
@@ -91,7 +78,7 @@ func TestCLISmoke(t *testing.T) {
 		t.Skip("builds and execs the command binaries")
 	}
 	dir := t.TempDir()
-	bins := buildCmds(t, dir, "symex", "emu")
+	bins := cmdtest.Build(t, dir, "symex", "emu")
 
 	a, err := arch.Load("tiny32")
 	if err != nil {
@@ -128,6 +115,16 @@ func TestCLISmoke(t *testing.T) {
 	// -cover-out implies -cover: the matrix follows on stderr.
 	if !strings.Contains(stderr, "isa tiny32") {
 		t.Errorf("stderr lacks the coverage matrix:\n%s", stderr)
+	}
+	// -profile-out and -profile-json imply -profile: so does the
+	// hotspot report.
+	if !strings.Contains(stderr, "exploration profile (tiny32)\n") {
+		t.Errorf("stderr lacks the hotspot report:\n%s", stderr)
+	}
+	// One side of each of the ladder's 63 forks is answered by the
+	// parent state's model.
+	if !regexp.MustCompile(`(?m)^query cache: [0-9]+ hits \(63 from parent models\) / [0-9]+ misses `).MatchString(stderr) {
+		t.Errorf("stderr lacks the query cache line with its model hits:\n%s", stderr)
 	}
 
 	readCover := func(path string) {

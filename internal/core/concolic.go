@@ -172,7 +172,7 @@ func (e *Engine) followConcrete(input []byte, ambiguous, lost string) (*State, e
 		}
 		var next *State
 		for _, c := range children {
-			if !consistent(c.PathCond[prevLen:], env) {
+			if !expr.EvalAll(c.PathCond[prevLen:], env) {
 				continue
 			}
 			if next != nil {
@@ -188,14 +188,4 @@ func (e *Engine) followConcrete(input []byte, ambiguous, lost string) (*State, e
 		}
 		st = next
 	}
-}
-
-// consistent reports whether every condition holds under the environment.
-func consistent(conds []*expr.Expr, env expr.Env) bool {
-	for _, c := range conds {
-		if !expr.EvalBool(c, env) {
-			return false
-		}
-	}
-	return true
 }

@@ -116,6 +116,8 @@ func (e *Engine) initialState() *State {
 		mem:  newMemory(e.Prog.Image(), bv.Mask(e.Arch.Bits)),
 		PC:   e.Prog.Entry,
 		home: e.B,
+		// The empty path condition holds under any assignment.
+		model: expr.Env{},
 	}
 	e.nextID++
 	for i, r := range e.Arch.Regs {
@@ -304,7 +306,8 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 	}
 	e.rec.fork(st.PC, 1)
 	t0 := e.rec.clock()
-	sat, err := e.feasible(append(st.PathCond, guard))
+	m, known := st.model, len(st.PathCond)
+	sat, model, err := e.feasible(m, known, append(st.PathCond, guard))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,17 +315,19 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 		taken = st.clone(e.nextID)
 		e.nextID++
 		taken.appendCond(guard)
+		taken.model = model
 		e.rec.event("fork", taken.ID, st.PC, func() string { return fmt.Sprintf("guard taken, parent=%d", st.ID) })
 	} else {
 		e.rec.infeasibleSide(st.PC)
 	}
 	neg := e.B.BoolNot(guard)
-	sat, err = e.feasible(append(st.PathCond, neg))
+	sat, model, err = e.feasible(m, known, append(st.PathCond, neg))
 	if err != nil {
 		return nil, nil, err
 	}
 	if sat {
 		st.appendCond(neg)
+		st.model = model
 		fallthru = st
 	} else {
 		e.rec.infeasibleSide(st.PC)
@@ -333,21 +338,26 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 	return taken, fallthru, nil
 }
 
-// feasible checks satisfiability, treating solver budget or deadline
-// exhaustion as feasible (sound for bug finding: we never prune a path
-// we are unsure about, at the cost of possibly exploring dead ones).
-// The decision routes through the shared degradation policy so every
+// feasible checks satisfiability of cond, whose first known conjuncts
+// the parent's model m satisfies, and returns the model that proved it
+// feasible. It treats solver budget or deadline exhaustion as feasible
+// with no model (sound for bug finding: we never prune a path we are
+// unsure about, at the cost of possibly exploring dead ones). The
+// decision routes through the shared degradation policy so every
 // over-approximation is counted by cause.
-func (e *Engine) feasible(cond []*expr.Expr) (bool, error) {
-	r, err := e.Solver.Check(cond...)
+func (e *Engine) feasible(m expr.Env, known int, cond []*expr.Expr) (bool, expr.Env, error) {
+	r, err := e.Solver.CheckUnder(m, known, cond...)
 	deg, err := e.degradeUnknown(err, DegradeBranchBudget, DegradeBranchDeadline)
 	if deg {
-		return true, nil
+		return true, nil, nil
 	}
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
-	return r != smt.Unsat, nil
+	if r == smt.Sat {
+		return true, e.Solver.Model(), nil
+	}
+	return r != smt.Unsat, nil, nil
 }
 
 // trap implements the shared system-call convention symbolically.
@@ -443,16 +453,19 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 	}
 	cont := bv.Trunc(insAddr+uint64(dec.Len), e.Arch.Bits)
 	baseSig := st.sig
+	m, known := st.model, len(st.PathCond)
 	for i, t := range ts {
 		cond := append(append([]*expr.Expr(nil), st.PathCond...), t.conds...)
 		taken := bv.Trunc(t.addr, e.Arch.Bits) != cont
 		checked := len(ts) > 1 || len(t.conds) > 0
+		model := m // an unchecked target adds no condition
 		if checked {
 			t0 := e.rec.clock()
-			ok, err := e.feasible(cond)
+			ok, proved, err := e.feasible(m, known, cond)
 			if err != nil {
 				return nil, err
 			}
+			model = proved
 			e.rec.span("branch", st, t0, func() string { return fmt.Sprintf("target %#x: feasible=%v", t.addr, ok) })
 			if !ok {
 				e.rec.infeasibleSide(insAddr)
@@ -472,6 +485,7 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 			e.nextID++
 		}
 		child.PathCond = cond
+		child.model = model
 		sig := baseSig
 		for _, c := range t.conds {
 			sig = expr.MixHash(sig, expr.Hash(c))

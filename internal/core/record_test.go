@@ -15,7 +15,7 @@ import (
 // recorder, so they must agree exactly — serial and parallel, with kills
 // by every budget, with term-budget kills (a degradation plus a
 // StatusKilled path end, never a StatesKilled), and across a checkpoint
-// resume.
+// resume. Cache hits include the queries answered from a state's model.
 func TestViewsMatchStats(t *testing.T) {
 	ladder := func(k int) string { return harness.BranchLadder("tiny32", k) }
 	for _, tc := range []struct {
@@ -67,6 +67,9 @@ func TestViewsMatchStats(t *testing.T) {
 			}
 			if tc.killed && s.StatesKilled == 0 {
 				t.Fatal("no state killed by the budget")
+			}
+			if s.Solver.ModelHits == 0 {
+				t.Fatal("no query answered from a state's model: the cache-hit views below do not see model hits")
 			}
 			if tc.degrade != (s.Degraded[core.DegradeStateBudget] > 0) {
 				t.Fatalf("term-budget degradations = %d, want them iff the budget is set", s.Degraded[core.DegradeStateBudget])

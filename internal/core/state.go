@@ -21,6 +21,12 @@ type State struct {
 	// PathCond is the conjunction of branch conditions taken so far.
 	PathCond []*expr.Expr
 
+	// model, when non-nil, is an assignment known to satisfy PathCond:
+	// the solver's answer that proved this side feasible. The solver
+	// tries it on the next fork before blasting (smt.CheckUnder). It is
+	// shared with siblings and the query cache and never mutated.
+	model expr.Env
+
 	// PC is the concrete program counter (instruction fetch requires a
 	// concrete address; symbolic targets are resolved by forking).
 	PC uint64
@@ -54,9 +60,11 @@ type State struct {
 }
 
 // appendCond extends the path condition and folds the condition's
-// structural digest into the path signature.
+// structural digest into the path signature. The model is dropped: it
+// need not satisfy c.
 func (st *State) appendCond(c *expr.Expr) {
 	st.PathCond = append(st.PathCond, c)
+	st.model = nil
 	st.sig = expr.MixHash(st.sig, expr.Hash(c))
 }
 

@@ -330,14 +330,7 @@ func (r *run) checkExplore(g *archGen, layer string, subSeed int64, src string, 
 		nmatch := 0
 		for i := range rep.Paths {
 			pr := &rep.Paths[i]
-			ok := true
-			for _, c := range pr.PathCond {
-				if !expr.EvalBool(c, env) {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if expr.EvalAll(pr.PathCond, env) {
 				match = pr
 				nmatch++
 			}

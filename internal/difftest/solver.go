@@ -205,14 +205,7 @@ func (r *run) solverRound(subSeed int64) {
 	case smt.Unsat:
 		for i := 0; i < 8; i++ {
 			env := randomEnv(rg, conds...)
-			sat := true
-			for _, c := range conds {
-				if !expr.EvalBool(c, env) {
-					sat = false
-					break
-				}
-			}
-			if sat {
+			if expr.EvalAll(conds, env) {
 				fail("Unsat verdict refuted by concrete assignment %v", env)
 				return
 			}

@@ -28,6 +28,22 @@ func EvalBool(e *Expr, env Env) bool {
 	return Eval(e, env) != 0
 }
 
+// EvalAll reports whether every boolean expression in conds holds under
+// env. One memo serves them all, so subterms they share are computed
+// once.
+func EvalAll(conds []*Expr, env Env) bool {
+	memo := make(map[*Expr]uint64)
+	for _, c := range conds {
+		if !c.IsBool() {
+			panic("expr: EvalAll on bit-vector expression")
+		}
+		if eval(c, env, memo) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func eval(e *Expr, env Env, memo map[*Expr]uint64) uint64 {
 	if v, ok := memo[e]; ok {
 		return v

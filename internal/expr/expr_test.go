@@ -324,3 +324,26 @@ func TestBoolToBV(t *testing.T) {
 		t.Error("BoolToBV misbehaves")
 	}
 }
+
+// TestEvalAll: the conjunction of the conditions under one environment;
+// true for none.
+func TestEvalAll(t *testing.T) {
+	b := NewBuilder()
+	x := b.Var(8, "x")
+	lt := b.ULt(x, b.Const(8, 10))
+	ne := b.Ne(x, b.Const(8, 3))
+	for _, c := range []struct {
+		conds []*Expr
+		env   Env
+		want  bool
+	}{
+		{nil, Env{}, true},
+		{[]*Expr{lt, ne}, Env{"x": 4}, true},
+		{[]*Expr{lt, ne}, Env{"x": 3}, false},
+		{[]*Expr{lt, ne}, Env{"x": 12}, false},
+	} {
+		if got := EvalAll(c.conds, c.env); got != c.want {
+			t.Errorf("EvalAll(%v, %v) = %v, want %v", c.conds, c.env, got, c.want)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 
 	"repro/arch"
 	"repro/internal/asm"
+	"repro/internal/cmdtest"
 	"repro/internal/harness"
 	"repro/internal/ledger"
 )
@@ -25,10 +26,7 @@ func TestLedgerSmoke(t *testing.T) {
 		t.Skip("builds and execs the symex binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "symex")
-	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/symex").CombinedOutput(); err != nil {
-		t.Fatalf("building symex: %v\n%s", err, out)
-	}
+	bin := cmdtest.Build(t, dir, "symex")["symex"]
 
 	a, err := arch.Load("tiny32")
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cmdtest"
 	"repro/internal/harness"
 
 	. "repro/internal/service"
@@ -90,10 +91,7 @@ func TestCrashSmoke(t *testing.T) {
 		t.Skip("builds and execs the symexd binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "symexd")
-	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/symexd").CombinedOutput(); err != nil {
-		t.Fatalf("building symexd: %v\n%s", err, out)
-	}
+	bin := cmdtest.Build(t, dir, "symexd")["symexd"]
 
 	// A workload with a usable kill window: 2^16 feasible branches
 	// clipped at 4096 completed paths (~0.5s serial), checkpointing

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/faultinject"
 )
 
 func TestCacheHitOnRepeatQuery(t *testing.T) {
@@ -130,11 +131,65 @@ func TestCacheConcurrentUse(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Queries: 1, SatResults: 2, UnsatCount: 3, AuxVars: 4, Clauses: 5, CacheHits: 6, CacheMisses: 7}
-	b := Stats{Queries: 10, SatResults: 20, UnsatCount: 30, AuxVars: 40, Clauses: 50, CacheHits: 60, CacheMisses: 70}
+	a := Stats{Queries: 1, SatResults: 2, UnsatCount: 3, AuxVars: 4, Clauses: 5, CacheHits: 6, CacheMisses: 7, ModelHits: 8}
+	b := Stats{Queries: 10, SatResults: 20, UnsatCount: 30, AuxVars: 40, Clauses: 50, CacheHits: 60, CacheMisses: 70, ModelHits: 80}
 	a.Add(b)
 	if a.Queries != 11 || a.SatResults != 22 || a.UnsatCount != 33 ||
-		a.AuxVars != 44 || a.Clauses != 55 || a.CacheHits != 66 || a.CacheMisses != 77 {
+		a.AuxVars != 44 || a.Clauses != 55 || a.CacheHits != 66 || a.CacheMisses != 77 || a.ModelHits != 88 {
 		t.Errorf("Add merged wrong: %+v", a)
+	}
+}
+
+// TestCheckUnderAnswersFromModel: a known model that satisfies the new
+// conjuncts answers Sat without a lookup, blast or search, counted as a
+// cache hit and a model hit; one that does not, or a solver without a
+// cache, decides the query as Check does.
+func TestCheckUnderAnswersFromModel(t *testing.T) {
+	b := expr.NewBuilder()
+	x, y := b.Var(8, "x"), b.Var(8, "y")
+	pc := b.ULt(x, b.Const(8, 10))
+	m := expr.Env{"x": 3}
+	guard := b.Eq(y, b.Const(8, 0))
+
+	s := New(b)
+	s.Cache = NewQueryCache()
+	r, err := s.CheckUnder(m, 1, pc, guard)
+	if err != nil || r != Sat {
+		t.Fatalf("CheckUnder = %v, %v; want sat", r, err)
+	}
+	if s.Stats.ModelHits != 1 || s.Stats.CacheHits != 1 || s.Stats.CacheMisses != 0 || s.Stats.Queries != 1 {
+		t.Errorf("stats %+v, want one query answered as a model hit", s.Stats)
+	}
+	if s.Stats.Clauses != 0 || s.Cache.Size() != 0 {
+		t.Errorf("model hit blasted %d clauses and stored %d cache entries, want none", s.Stats.Clauses, s.Cache.Size())
+	}
+	if s.Value(x) != 3 || s.Value(y) != 0 {
+		t.Errorf("model hit answered x=%d y=%d, want the known model", s.Value(x), s.Value(y))
+	}
+
+	// The model falsifies the new conjunct: the solver decides it.
+	r, err = s.CheckUnder(m, 1, pc, b.BoolNot(guard))
+	if err != nil || r != Sat {
+		t.Fatalf("CheckUnder(¬guard) = %v, %v; want sat", r, err)
+	}
+	if s.Stats.ModelHits != 1 || s.Stats.CacheMisses != 1 {
+		t.Errorf("stats %+v, want the second query solved", s.Stats)
+	}
+	if s.Value(y) == 0 || s.Value(x) >= 10 {
+		t.Errorf("solved model x=%d y=%d falsifies the query", s.Value(x), s.Value(y))
+	}
+
+	// Without a cache the model is not consulted.
+	plain := New(b)
+	if r, err := plain.CheckUnder(m, 1, pc, guard); err != nil || r != Sat || plain.Stats.ModelHits != 0 || plain.Stats.CacheHits != 0 {
+		t.Errorf("uncached CheckUnder = %v, %v with %+v; want a solved sat", r, err, plain.Stats)
+	}
+
+	// Fault injection fires before the model is tried.
+	inj := New(b)
+	inj.Cache = NewQueryCache()
+	inj.Inject = faultinject.New(1, 1).Enable(faultinject.SiteSolver, faultinject.KindBudget)
+	if r, err := inj.CheckUnder(m, 1, pc, guard); err != ErrBudget || r != Unknown || inj.Stats.ModelHits != 0 {
+		t.Errorf("injected CheckUnder = %v, %v with %d model hits; want the budget fault", r, err, inj.Stats.ModelHits)
 	}
 }

@@ -84,12 +84,17 @@ func fuzzPred(b *expr.Builder, op int, a, c *expr.Expr) *expr.Expr {
 // over x (w bits) and y (at most 4 bits, extended to w), then checks a
 // growing sequence of conjunctions on one incremental solver. Every Sat
 // model must satisfy the conjunction under expr.Eval, and every Unsat
-// answer is confirmed by enumerating all inputs.
+// answer is confirmed by enumerating all inputs. Each conjunction is
+// also posed through CheckUnder on a second, cached solver, with its
+// last Sat model and a prefix that model satisfies: the answer must
+// equal a fresh solver's full-decision Check, and a Sat model, whether
+// reused or solved, must satisfy every conjunct.
 func FuzzSolverAgainstEval(f *testing.F) {
 	f.Add([]byte{7, 3, 5, 2, 0, 1, 2, 2, 0, 3, 14, 1, 4, 2, 9, 3, 5, 7, 1, 0, 6})
 	f.Add([]byte{3, 1, 0, 4, 0, 1, 3, 5, 1, 2, 1, 3, 2, 0})
 	f.Add([]byte{0, 0, 9, 6, 5, 1, 0, 6, 2, 1, 11, 3, 2, 16, 0, 3, 1, 4, 2, 0})
 	f.Add([]byte{5, 2, 255, 7, 2, 1, 2, 15, 3, 0, 12, 4, 1, 10, 0, 2, 3, 1, 0, 5, 2, 4})
+	f.Add([]byte("700002100002")) // CheckUnder must evaluate every conjunct past the known prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{data: data}
 		b := expr.NewBuilder()
@@ -106,6 +111,10 @@ func FuzzSolverAgainstEval(f *testing.F) {
 			pool = append(pool, fuzzTerm(b, r.next(), a, c, w))
 		}
 		s := New(b)
+		u := New(b)
+		u.Cache = NewQueryCache()
+		var m expr.Env // u's last Sat model; it satisfies conds[:known]
+		known := 0
 		var conds []*expr.Expr
 		for q := 1 + r.next()%4; q > 0; q-- {
 			a, c := pool[r.next()%len(pool)], pool[r.next()%len(pool)]
@@ -142,6 +151,24 @@ func FuzzSolverAgainstEval(f *testing.F) {
 				}
 			default:
 				t.Fatalf("Check = %v", res)
+			}
+
+			k := r.next() % (known + 1) // any prefix of a satisfied prefix holds
+			ru, err := u.CheckUnder(m, k, conds...)
+			if err != nil {
+				t.Fatalf("CheckUnder: %v", err)
+			}
+			if full, err := New(b).Check(conds...); err != nil || ru != full {
+				t.Fatalf("CheckUnder(known=%d) = %v, full-decision Check = %v, %v", k, ru, full, err)
+			}
+			if ru == Sat {
+				for i, c := range conds {
+					if !expr.EvalBool(c, u.Model()) {
+						t.Fatalf("CheckUnder model %v (model hits %d) falsifies assumption %d: %v",
+							u.Model(), u.Stats.ModelHits, i, c)
+					}
+				}
+				m, known = u.Model(), len(conds)
 			}
 		}
 	})

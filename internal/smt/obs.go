@@ -33,7 +33,7 @@ func NewSolverObs(r *obs.Registry) *SolverObs {
 		CheckSeconds: r.Histogram("smt_check_seconds", "Latency of solved (non-cached) Check calls", obs.TimeBuckets),
 		BlastSeconds: r.Histogram("smt_blast_seconds", "Bit-blasting time per solved Check", obs.TimeBuckets),
 		SolveSeconds: r.Histogram("smt_solve_seconds", "SAT search time per solved Check", obs.TimeBuckets),
-		CacheHits:    r.Counter("smt_cache_hits_total", "Check calls answered by the shared query cache"),
+		CacheHits:    r.Counter("smt_cache_hits_total", "Check calls answered without blasting, by the shared query cache or by the parent state's model (ablated with it by NoQueryCache; the split is schedule-dependent, and states restored from a snapshot start without a model)"),
 		CacheMisses:  r.Counter("smt_cache_misses_total", "Check calls that missed the query cache"),
 	}
 }

@@ -49,9 +49,11 @@ type Stats struct {
 	AuxVars int64
 	Clauses int64
 	// Query-cache counters (zero when no cache is attached). Hits are
-	// queries answered without blasting or solving.
+	// queries answered without blasting or solving: by a cache entry or,
+	// for the ModelHits subset, by the caller's known model (CheckUnder).
 	CacheHits   int64
 	CacheMisses int64
+	ModelHits   int64
 	// Deadlines counts Check calls abandoned at the wall-clock
 	// QueryDeadline.
 	Deadlines int64
@@ -68,6 +70,7 @@ func (s *Stats) Add(o Stats) {
 	s.Clauses += o.Clauses
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
+	s.ModelHits += o.ModelHits
 	s.Deadlines += o.Deadlines
 }
 
@@ -175,14 +178,25 @@ func (s *Solver) constLit(v bool) sat.Lit {
 // Model returns a satisfying assignment for every bit-vector variable
 // blasted so far.
 func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
+	return s.CheckUnder(nil, 0, assumptions...)
+}
+
+// CheckUnder is Check for a caller that holds a model m known to satisfy
+// the first known assumptions (a state's path condition). When a query
+// cache is attached and m also satisfies the rest, the answer is Sat
+// with m as the Model, without a cache lookup, blast or search; it is
+// counted as a cache hit and a model hit. m must not be mutated later.
+// A nil m, or no cache, decides the query exactly as Check does.
+func (s *Solver) CheckUnder(m expr.Env, known int, assumptions ...*expr.Expr) (Result, error) {
 	for _, a := range assumptions {
 		if !a.IsBool() {
 			panic("smt: Check with non-boolean assumption")
 		}
 	}
-	// Fault injection happens before the cache lookup so an injected
-	// failure exercises the same degradation paths a real solver
-	// failure would (a cache hit can never time out).
+	// Fault injection happens before the model and cache lookups so an
+	// injected failure exercises the same degradation paths a real
+	// solver failure would (a hit can never time out), and the
+	// injection schedule does not depend on which queries hit.
 	switch s.Inject.Fire(faultinject.SiteSolver) {
 	case faultinject.KindBudget:
 		return Unknown, ErrBudget
@@ -196,21 +210,20 @@ func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
 	if s.Prof != nil {
 		pt0 = time.Now()
 	}
+	if s.Cache != nil && m != nil && expr.EvalAll(assumptions[known:], m) {
+		s.Stats.ModelHits++
+		s.model = m
+		s.hit(Sat, pt0)
+		return Sat, nil
+	}
 	var key cacheKey
 	if s.Cache != nil {
 		key = queryKey(assumptions)
 		if e, ok := s.Cache.lookup(key); ok {
-			s.Stats.CacheHits++
-			if s.Obs != nil {
-				s.Obs.CacheHits.Inc()
-			}
 			if e.r == Sat {
 				s.model = e.model
 			}
-			s.tally(e.r)
-			if s.Prof != nil {
-				s.Prof.Query(time.Since(pt0), true)
-			}
+			s.hit(e.r, pt0)
 			return e.r, nil
 		}
 		s.Stats.CacheMisses++
@@ -264,6 +277,19 @@ func (s *Solver) Check(assumptions ...*expr.Expr) (Result, error) {
 		s.Cache.store(key, e)
 	}
 	return r, nil
+}
+
+// hit counts a query answered without blasting or solving as a cache
+// hit; pt0 is its profiling start.
+func (s *Solver) hit(r Result, pt0 time.Time) {
+	s.Stats.CacheHits++
+	if s.Obs != nil {
+		s.Obs.CacheHits.Inc()
+	}
+	s.tally(r)
+	if s.Prof != nil {
+		s.Prof.Query(time.Since(pt0), true)
+	}
 }
 
 // tally counts one query and its result (Unknown when the search gave
