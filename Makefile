@@ -14,7 +14,7 @@
 # flags, the gofmt gate, and the tests of the separate perfbench
 # module, which imports internal/ packages.
 
-.PHONY: check build fmt test vet race bench loc perfbench-test cli-smoke fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
+.PHONY: check build fmt test vet race bench loc loc-diff perfbench-test cli-smoke fuzz-smoke difftest-smoke difftest obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke
 
 check: build fmt test vet race cli-smoke fuzz-smoke difftest-smoke obs-smoke cover-smoke chaos-smoke compile-smoke service-smoke profile-smoke ledger-smoke progress-smoke crash-smoke perfbench-test
 
@@ -56,6 +56,25 @@ loc:
 		done; \
 		printf '%-28s %7d\n' "$$pkg" $$n; \
 	done | awk '{ print; t += $$2 } END { printf "%-28s %7d\n", "total", t }'
+
+# Production-LoC delta of the work tree against BASE (any git revision):
+# the loc recipe above runs on a git archive copy of BASE and on the
+# work tree; prints base, work-tree and delta lines for every package
+# whose count changed, then the total.
+#   make loc-diff BASE=HEAD~1
+loc-diff:
+	@test -n "$(BASE)" || { echo "usage: make loc-diff BASE=<rev>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive "$(BASE)" | tar -x -C "$$tmp" && \
+	$(MAKE) -s --no-print-directory -C "$$tmp" -f "$(CURDIR)/Makefile" loc > "$$tmp/.loc-base" && \
+	$(MAKE) -s --no-print-directory loc > "$$tmp/.loc-work" && \
+	printf '%-28s %7s %7s %7s\n' package base work delta && \
+	awk 'NR == FNR { base[$$1] = $$2; next } { work[$$1] = $$2 } \
+		END { for (p in work) if (!(p in base)) base[p] = 0; \
+		for (p in base) if (p != "total" && work[p] != base[p]) printf "%-28s %7d %7d %+7d\n", p, base[p], work[p], work[p] - base[p] }' \
+		"$$tmp/.loc-base" "$$tmp/.loc-work" | sort && \
+	awk 'NR == FNR { if ($$1 == "total") b = $$2; next } $$1 == "total" { printf "%-28s %7d %7d %+7d\n", "total", b, $$2, $$2 - b }' \
+		"$$tmp/.loc-base" "$$tmp/.loc-work"
 
 # Command-line smoke (docs/observability.md): arm the shared instrument
 # flags in-process and read the live endpoint, build symex and emu and

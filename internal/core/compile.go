@@ -195,7 +195,7 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 				break // self-modified under this state: re-enter via step
 			}
 		}
-		e.rec.insn(pc, e.visit(pc), ent, blk)
+		e.rec.insn(pc, e.visits.inc(pc), ent, blk)
 		e.cov.Hit(cover.LSym, ent.dec.Insn)
 		st.Steps++
 		n++
@@ -237,7 +237,7 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 // through the RTL interpreter instead.
 func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 	insAddr := st.PC
-	e.rec.insn(insAddr, e.visit(insAddr), ent, nil)
+	e.rec.insn(insAddr, e.visits.inc(insAddr), ent, nil)
 	e.cov.Hit(cover.LSym, ent.dec.Insn)
 	st.Steps++
 	e.inject.Fire(faultinject.SiteTranslate)

@@ -112,7 +112,7 @@ func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 	}
 	rep.Stats = e.report.Stats
 	rep.Stats.Solver = e.Solver.Stats
-	rep.Stats.Coverage = len(e.visits)
+	rep.Stats.Coverage = e.visits.distinct()
 	rep.Stats.WallTime = time.Since(t0)
 	rep.Faults = append(rep.Faults, e.report.Faults...)
 	rep.Bugs = append(rep.Bugs, e.report.Bugs...)
@@ -131,14 +131,14 @@ func normalizeInput(in []byte, n int) []byte {
 // runConcolic executes the single path induced by the concrete input,
 // returning the collected symbolic branch conditions in path order.
 func (e *Engine) runConcolic(input []byte) (*ConcolicPath, []*expr.Expr, error) {
-	before := len(e.visits)
+	before := e.visits.distinct()
 	end, env, err := e.followConcrete(input,
 		"core: concolic replay is ambiguous at %#x", "core: concolic replay lost the concrete path at %#x")
 	if err != nil {
 		return nil, nil, err
 	}
 	e.rec.pathEnd(end)
-	out := &ConcolicPath{Input: input, NewPCs: len(e.visits) - before}
+	out := &ConcolicPath{Input: input, NewPCs: e.visits.distinct() - before}
 	out.Status = end.Status
 	out.Fault = end.Fault
 	out.Steps = end.Steps

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/adl"
@@ -78,20 +77,25 @@ type Options struct {
 
 	// MergeStates enables opportunistic state merging: live states at
 	// the same program counter fold into one if-then-else-merged state,
-	// trading path count for term size (veritesting-style). Merging needs
-	// a global view of the live set, so it only applies to serial runs;
-	// it is ignored when Workers > 1.
+	// trading path count for term size (veritesting-style). The fold
+	// runs over the frontier's live set after every step, which needs
+	// the one worker's global view of it: merging applies to one-worker
+	// runs and is ignored when Workers > 1.
 	MergeStates bool
 
-	// Workers is the number of exploration workers. 0 or 1 runs the
-	// classic serial loop; N > 1 explores paths concurrently: each worker
-	// owns its own expression builder and solver (neither is
-	// goroutine-safe), pulls states from a shared strategy-aware frontier,
-	// and re-homes stolen states onto its builder via a term-transfer
-	// pass. The explored path set, the bug sites and the coverage are
-	// deterministic and identical to a serial run as long as no budget
-	// (MaxPaths, MaxStates, StopOnBug, Cancel) truncates the search;
-	// see docs/engine.md for exactly which report fields stay bit-stable.
+	// Workers is the number of exploration workers; 0 means 1. Every
+	// worker runs the same exploration loop over one shared,
+	// strategy-aware frontier. Worker 0 is the engine itself on the
+	// caller's goroutine, so a one-worker run starts no goroutine, moves
+	// no term between builders and reports paths in exploration order,
+	// fully deterministically. Each further worker owns its own
+	// expression builder and solver (neither is goroutine-safe) and
+	// re-homes stolen states onto its builder via a term-transfer pass.
+	// The explored path set, the bug sites and the coverage are
+	// deterministic and identical to a one-worker run as long as no
+	// budget (MaxPaths, MaxStates, StopOnBug, Cancel) truncates the
+	// search; see docs/engine.md for exactly which report fields stay
+	// bit-stable.
 	Workers int
 
 	// NoQueryCache disables the shared solver-query cache (ablation).
@@ -184,11 +188,12 @@ type Options struct {
 	JobID string
 
 	// Checkpoint, when non-nil, receives periodic exploration snapshots
-	// from a serial run (see snapshot.go): every CheckpointEvery of wall
-	// time the engine captures the completed paths plus the live
-	// frontier and hands the Snapshot to the callback, which typically
-	// marshals it to a durable file. Called synchronously between
-	// instructions on the exploration goroutine. Ignored when
+	// from a one-worker run (see snapshot.go): every CheckpointEvery of
+	// wall time the exploration loop captures the completed paths plus
+	// the live set (the frontier's queued states and the state the
+	// worker holds) and hands the Snapshot to the callback, which
+	// typically marshals it to a durable file. Called synchronously
+	// between steps on the caller's goroutine. Ignored when
 	// Workers > 1 — parallel schedules are not resumable.
 	Checkpoint func(*Snapshot)
 
@@ -207,8 +212,9 @@ type Options struct {
 	// Resume, when non-nil, seeds the run from a checkpoint instead of
 	// the program entry point: completed paths, bugs, visit counts, the
 	// ID allocator and the live frontier are restored, and exploration
-	// continues where the interrupted run stopped. The engine must be
-	// fresh and built for the same architecture and program the
+	// continues where the interrupted run stopped: the restored live
+	// states seed the frontier in their recorded order. The engine must
+	// be fresh and built for the same architecture and program the
 	// snapshot was taken from. Run returns an error for a mismatched or
 	// malformed snapshot, and when combined with Workers > 1.
 	Resume *Snapshot
@@ -311,7 +317,7 @@ type Stats struct {
 	Degraded        DegradeStats // graceful degradations by cause
 
 	// WorkerStats has one entry per exploration worker when Workers > 1
-	// (nil for serial runs). Per-worker numbers are schedule-dependent.
+	// (nil for one-worker runs). Per-worker numbers are schedule-dependent.
 	WorkerStats []WorkerStat
 }
 
@@ -374,8 +380,9 @@ type Engine struct {
 	// Layout lists the valid memory regions for out-of-bounds checking.
 	Layout []Region
 
-	visits map[uint64]int64 // per-pc execution counts (coverage strategy)
-	rng    *rand.Rand
+	// visits counts executions per pc (coverage strategy, Coverage
+	// stat); every worker of a run shares it.
+	visits *visitTable
 
 	// compiled is the shared compiled-code cache (docs/compile.md);
 	// workers of a parallel run share one instance. scratch is this
@@ -405,13 +412,11 @@ type Engine struct {
 	// input-byte hot paths never fmt.Sprintf.
 	inputNames []string
 
-	// Parallel-run plumbing: shVisits replaces the visits map when this
-	// engine is a worker of a parallel run (shared, sharded); par points
-	// at the coordinating run state (the worker's index is rec.wid).
-	shVisits *visitTable
-	par      *parRun
-	steals   int64         // states adopted from other workers' builders
-	busy     time.Duration // time spent executing states
+	// front is the frontier of the ongoing Run, shared by its workers
+	// (the worker's index is rec.wid).
+	front  *frontier
+	steals int64         // states adopted from other workers' builders
+	busy   time.Duration // time spent executing states (parallel runs)
 
 	// rec is this engine's (or worker's) event recorder (record.go), the
 	// one writer of Stats counters, Progress, metrics, profile and trace.
@@ -462,8 +467,7 @@ func NewEngine(a *adl.Arch, p *prog.Program, opts Options) *Engine {
 		Dec:      decoder.New(a),
 		Prog:     p,
 		Opts:     opts,
-		visits:   make(map[uint64]int64),
-		rng:      rand.New(rand.NewSource(opts.Seed + 1)),
+		visits:   newVisitTable(),
 		bugSeen:  newBugDedup(),
 		compiled: newCompileCache(),
 	}
@@ -537,8 +541,8 @@ func (ctx *CheckCtx) Report(check, msg string, model expr.Env) {
 	if !e.bugSeen.first(key) {
 		return
 	}
-	if e.par != nil {
-		e.par.bugCount.Add(1)
+	if e.front != nil {
+		e.front.bugCount.Add(1)
 	}
 	e.report.Bugs = append(e.report.Bugs, Bug{
 		Check:   check,

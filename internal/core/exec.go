@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/adl"
 	"repro/internal/bv"
@@ -12,102 +11,6 @@ import (
 	"repro/internal/rtl"
 	"repro/internal/smt"
 )
-
-// ckptDutyFactor bounds the checkpoint duty cycle: the gap until the
-// next checkpoint is at least this multiple of the previous one's
-// synchronous cost, so snapshot building consumes at most ~1/128 <1%
-// of a serial run's wall time no matter how large the path list grows.
-const ckptDutyFactor = 128
-
-// Run explores the program from its entry point and returns the report.
-// With Options.Workers > 1 the exploration is distributed over a worker
-// pool (see parallel.go); otherwise the classic serial loop runs.
-func (e *Engine) Run() (*Report, error) {
-	if e.Opts.Workers > 1 {
-		if e.Opts.Resume != nil {
-			return nil, fmt.Errorf("core: Resume requires a serial run (Workers = %d)", e.Opts.Workers)
-		}
-		return e.runParallel()
-	}
-	t0 := time.Now()
-	e.report = Report{}
-	e.bugSeen = newBugDedup()
-	defer e.rec.fold()
-
-	var live []*State
-	if e.Opts.Resume != nil {
-		var err error
-		if live, err = e.restore(e.Opts.Resume); err != nil {
-			return nil, err
-		}
-	} else {
-		live = []*State{e.initialState()}
-	}
-	ckptEvery := e.Opts.CheckpointEvery
-	denseCkpt := ckptEvery < 0 // every opportunity, no governor (tests)
-	if ckptEvery <= 0 {
-		ckptEvery = time.Second
-	}
-	ckptGap := ckptEvery
-	lastCkpt := t0
-
-	for len(live) > 0 {
-		if e.Opts.Checkpoint != nil && (denseCkpt || time.Since(lastCkpt) >= ckptGap) {
-			tc := time.Now()
-			e.Opts.Checkpoint(e.snapshot(live, time.Since(t0)))
-			lastCkpt = time.Now()
-			// Duty-cycle governor: a snapshot's cost grows with the
-			// completed-path list, so a fixed pace would eventually
-			// spend arbitrary fractions of the run on checkpointing.
-			// Stretch the gap to a multiple of the last checkpoint's
-			// synchronous cost instead — the overhead stays bounded
-			// (~1/ckptDutyFactor) and only freshness degrades.
-			ckptGap = ckptEvery
-			if g := lastCkpt.Sub(tc) * ckptDutyFactor; g > ckptGap {
-				ckptGap = g
-			}
-		}
-		var killReason string
-		switch {
-		case e.report.Stats.PathsDone >= e.Opts.MaxPaths:
-			killReason = "max-paths"
-		case e.Opts.StopOnBug && len(e.report.Bugs) > 0:
-			killReason = "stop-on-bug"
-		case canceled(e.Opts.Cancel):
-			killReason = "canceled"
-		}
-		if killReason != "" {
-			e.rec.killAll(live, killReason, "live")
-			break
-		}
-		e.rec.frontier(len(live))
-		var st *State
-		st, live = e.pick(live)
-
-		children, err := e.safeStep(st)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range children {
-			if c.Done {
-				e.finish(c)
-			} else if len(live) < e.Opts.MaxStates {
-				live = append(live, c)
-			} else {
-				e.rec.kill(c, "max-states")
-			}
-		}
-		if e.Opts.MergeStates {
-			live = e.mergeLive(live)
-		}
-	}
-	e.rec.frontier(0)
-	e.report.Stats.WallTime = e.resumedWall + time.Since(t0)
-	e.report.Stats.Solver = e.Solver.Stats
-	e.report.Stats.Coverage = len(e.visits)
-	e.snapshotCompileStats()
-	return &e.report, nil
-}
 
 func (e *Engine) initialState() *State {
 	st := &State{
@@ -130,29 +33,10 @@ func (e *Engine) initialState() *State {
 	return st
 }
 
-// pick removes the next state to run according to the strategy.
-func (e *Engine) pick(live []*State) (*State, []*State) {
-	idx := len(live) - 1 // DFS default
-	switch e.Opts.Strategy {
-	case BFS:
-		idx = 0
-	case Random:
-		idx = e.rng.Intn(len(live))
-	case Coverage:
-		best := int64(1) << 62
-		for i, s := range live {
-			if v := e.visitCount(s.PC); v < best {
-				best, idx = v, i
-			}
-		}
-	}
-	st := live[idx]
-	live = append(live[:idx], live[idx+1:]...)
-	return st, live
-}
-
+// finish records a completed path in the worker's report.
 func (e *Engine) finish(st *State) {
 	e.rec.pathEnd(st)
+	e.front.pathsDone.Add(1)
 	pr := PathResult{
 		ID:       st.ID,
 		Status:   st.Status,
@@ -176,26 +60,6 @@ func (e *Engine) finish(st *State) {
 		pr.End = end
 	}
 	e.report.Paths = append(e.report.Paths, pr)
-}
-
-// visitCount reads the per-pc execution count, from the shared table in
-// parallel runs and the engine-local map otherwise.
-func (e *Engine) visitCount(pc uint64) int64 {
-	if e.shVisits != nil {
-		return e.shVisits.get(pc)
-	}
-	return e.visits[pc]
-}
-
-// visit bumps the per-pc execution count and reports whether pc ran for
-// the first time in the run. It is called exactly once per executed
-// instruction, in a superblock or not.
-func (e *Engine) visit(pc uint64) bool {
-	if e.shVisits != nil {
-		return e.shVisits.inc(pc)
-	}
-	e.visits[pc]++
-	return e.visits[pc] == 1
 }
 
 func (st *State) done(status Status) *State {

@@ -214,7 +214,7 @@ func TestAdoptLeavesSharedPagesIntact(t *testing.T) {
 	before := map[uint64]*expr.Expr{}
 	sib.mem.each(func(a uint64, v *expr.Expr) { before[a] = v })
 
-	w := e.workerEngine(1, nil, nil)
+	w := e.workerEngine(1, nil)
 	done := make(chan int)
 	go func() {
 		n := 0

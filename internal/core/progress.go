@@ -9,8 +9,8 @@ package core
 import "sync/atomic"
 
 // Progress is the live view of one run. All fields are updated
-// atomically by the engine's recorder (serial loop, parallel workers and
-// concolic runs alike) and read via Snapshot; the zero value is ready to
+// atomically by the engine's recorder (exploration workers and concolic
+// runs alike) and read via Snapshot; the zero value is ready to
 // use.
 type Progress struct {
 	instructions  atomic.Int64

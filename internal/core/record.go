@@ -30,7 +30,7 @@ const StepSampleRate = 8
 // the run's at merge points (add, fold).
 type recorder struct {
 	s    *Stats // the owning engine's report counters
-	wid  int    // worker stamped on trace events; -1 for the shared frontier
+	wid  int    // worker stamped on trace events; 0 is the calling engine
 	on   bool   // some view besides Stats is attached
 	tick uint64 // step-sampling counter
 
@@ -89,8 +89,8 @@ func newRecorder(o Options, s *Stats) recorder {
 	return r
 }
 
-// worker returns the recorder of parallel worker wid (-1: the shared
-// frontier): the same shared views, its own counters s and shard.
+// worker returns the recorder of parallel worker wid: the same shared
+// views, its own counters s and shard.
 func (r *recorder) worker(wid int, s *Stats) recorder {
 	w := *r
 	w.s, w.wid, w.tick = s, wid, 0
@@ -117,8 +117,8 @@ func (r *recorder) add(o *recorder) {
 	r.profiler.Fold(o.prof)
 }
 
-// fold hands the shard to the profiler at the end of a serial run,
-// concolic search or replay.
+// fold hands the shard to the profiler at the end of a run, concolic
+// search or replay.
 func (r *recorder) fold() { r.profiler.Fold(r.prof) }
 
 // resume seeds the counters from a checkpoint, and the live progress

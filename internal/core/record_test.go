@@ -1,21 +1,44 @@
 package core_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/arch"
+	"repro/internal/checker"
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/profile"
 )
 
+// cancelAtDiv is a checker that closes ch at the at-th division any
+// worker observes: a cancellation at a fixed point of the exploration.
+type cancelAtDiv struct {
+	n, at int64
+	ch    chan struct{}
+}
+
+func newCancelAtDiv(at int64) *cancelAtDiv { return &cancelAtDiv{at: at, ch: make(chan struct{})} }
+
+func (c *cancelAtDiv) Name() string { return "cancel-at-div" }
+func (c *cancelAtDiv) Div(*core.CheckCtx, *expr.Expr) {
+	if atomic.AddInt64(&c.n, 1) == c.at {
+		close(c.ch)
+	}
+}
+func (c *cancelAtDiv) MemAccess(*core.CheckCtx, *expr.Expr, uint, bool) {}
+func (c *cancelAtDiv) Jump(*core.CheckCtx, *expr.Expr)                  {}
+
 // TestViewsMatchStats: Stats, the live Progress block, the engine_*
 // registry counters and the folded profile are views of one event
 // recorder, so they must agree exactly — serial and parallel, with kills
-// by every budget, with term-budget kills (a degradation plus a
-// StatusKilled path end, never a StatesKilled), and across a checkpoint
-// resume. Cache hits include the queries answered from a state's model.
+// by every stop of the exploration loop (MaxPaths, MaxStates, StopOnBug
+// and Cancel, each at one and at four workers), with term-budget kills
+// (a degradation plus a StatusKilled path end, never a StatesKilled),
+// and across a checkpoint resume. Cache hits include the queries
+// answered from a state's model.
 func TestViewsMatchStats(t *testing.T) {
 	ladder := func(k int) string { return harness.BranchLadder("tiny32", k) }
 	for _, tc := range []struct {
@@ -25,11 +48,19 @@ func TestViewsMatchStats(t *testing.T) {
 		resume  bool // run from a mid-run checkpoint of the same options
 		killed  bool // some live state must be dropped by a budget
 		degrade bool // some state must hit the term budget
+		checks  bool // attach every checker
+		cancel  bool // cancel the run at its fourth division
 	}{
 		{name: "serial", src: ladder(7), opts: core.Options{InputBytes: 7, MaxPaths: 5000}},
 		{name: "parallel", src: ladder(7), opts: core.Options{InputBytes: 7, MaxPaths: 5000, Workers: 4}},
 		{name: "max-paths-serial", src: ladder(7), opts: core.Options{InputBytes: 7, MaxPaths: 20}, killed: true},
+		{name: "max-paths-parallel", src: ladder(7), opts: core.Options{InputBytes: 7, MaxPaths: 20, Workers: 4}, killed: true},
+		{name: "max-states-serial", src: ladder(7), opts: core.Options{InputBytes: 7, MaxPaths: 5000, MaxStates: 2}, killed: true},
 		{name: "max-states-parallel", src: ladder(7), opts: core.Options{InputBytes: 7, MaxPaths: 5000, MaxStates: 2, Workers: 4}, killed: true},
+		{name: "stop-on-bug-serial", src: resumeSrc, opts: core.Options{InputBytes: 3, StopOnBug: true}, killed: true, checks: true},
+		{name: "stop-on-bug-parallel", src: resumeSrc, opts: core.Options{InputBytes: 3, StopOnBug: true, Workers: 4}, killed: true, checks: true},
+		{name: "canceled-serial", src: resumeSrc, opts: core.Options{InputBytes: 3}, killed: true, cancel: true},
+		{name: "canceled-parallel", src: resumeSrc, opts: core.Options{InputBytes: 3, Workers: 4}, killed: true, cancel: true},
 		{name: "term-budget-serial", src: ladder(6), opts: core.Options{InputBytes: 6, MaxPaths: 5000, MaxStateTerms: 3}, degrade: true},
 		{name: "term-budget-parallel", src: ladder(6), opts: core.Options{InputBytes: 6, MaxPaths: 5000, MaxStateTerms: 3, Workers: 4}, degrade: true},
 		{name: "resumed", src: ladder(6), opts: core.Options{InputBytes: 6, MaxPaths: 5000}, resume: true},
@@ -57,7 +88,21 @@ func TestViewsMatchStats(t *testing.T) {
 			o := obs.New()
 			prof := profile.New(profile.Meta{ADL: "tiny32"})
 			opts.Progress, opts.Obs, opts.Profile = prog, o, prof
-			r, err := core.NewEngine(a, p, opts).Run()
+			var cancel *cancelAtDiv
+			if tc.cancel {
+				cancel = newCancelAtDiv(4)
+				opts.Cancel = cancel.ch
+			}
+			e := core.NewEngine(a, p, opts)
+			if tc.checks {
+				for _, c := range checker.All() {
+					e.AddChecker(c)
+				}
+			}
+			if cancel != nil {
+				e.AddChecker(cancel)
+			}
+			r, err := e.Run()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,9 +1,9 @@
 // Exploration checkpoint/resume (docs/robustness.md, docs/service.md).
 //
-// A Snapshot captures everything a *serial* exploration needs to
+// A Snapshot captures everything a one-worker exploration needs to
 // continue after a process crash: the completed paths, the bug list,
 // the per-pc visit counts, the ID allocator and — the expensive part —
-// the live frontier, each state's symbolic registers, memory overlay,
+// the live set, each state's symbolic registers, memory overlay,
 // path condition and output stream. All expression terms are flattened
 // through the internal/expr wire format into one deterministic blob;
 // the JSON metadata references terms by root index, so rehydration is a
@@ -139,9 +139,9 @@ func progSum(p *prog.Program) uint64 {
 	return h.Sum64()
 }
 
-// snapshot captures the engine's serial exploration state. live is the
-// current frontier in list order; elapsed the wall time of this
-// process's leg of the run.
+// snapshot captures the engine's one-worker exploration state. live is
+// the live set in frontier order, the worker's inline state last;
+// elapsed the wall time of this process's leg of the run.
 func (e *Engine) snapshot(live []*State, elapsed time.Duration) *Snapshot {
 	var roots []*expr.Expr
 	ref := func(x *expr.Expr) uint32 {
@@ -166,9 +166,11 @@ func (e *Engine) snapshot(live []*State, elapsed time.Duration) *Snapshot {
 		Strategy: e.Opts.Strategy,
 		NextID:   e.nextID,
 	}
-	s.Visits = make(map[uint64]int64, len(e.visits))
-	for pc, n := range e.visits {
-		s.Visits[pc] = n
+	s.Visits = make(map[uint64]int64)
+	for i := range e.visits.shards { // one worker: nothing runs concurrently
+		for pc, n := range e.visits.shards[i].m {
+			s.Visits[pc] = n
+		}
 	}
 	s.Bugs = append([]Bug(nil), e.report.Bugs...)
 	s.Faults = append([]PathFault(nil), e.report.Faults...)
@@ -218,7 +220,7 @@ func (e *Engine) snapshot(live []*State, elapsed time.Duration) *Snapshot {
 	e.snapshotCompileStats()
 	st := e.report.Stats
 	st.Solver = e.Solver.Stats
-	st.Coverage = len(e.visits)
+	st.Coverage = e.visits.distinct()
 	st.WallTime = e.resumedWall + elapsed
 	s.Stats = st
 
@@ -227,7 +229,7 @@ func (e *Engine) snapshot(live []*State, elapsed time.Duration) *Snapshot {
 }
 
 // restore rehydrates a snapshot into this (fresh) engine and returns
-// the live frontier. The engine must have been built for the same
+// the live set, which seeds the run's frontier in order. The engine must have been built for the same
 // architecture and program the snapshot was taken from.
 func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 	if s.Arch != e.Arch.Name || s.Entry != e.Prog.Entry || s.ProgSum != progSum(e.Prog) {
@@ -290,9 +292,9 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 	for _, b := range e.report.Bugs {
 		e.bugSeen.first(dedupKey{check: b.Check, pc: b.PC, msg: b.Msg})
 	}
-	e.visits = make(map[uint64]int64, len(s.Visits))
+	e.visits = newVisitTable()
 	for pc, n := range s.Visits {
-		e.visits[pc] = n
+		e.visits.shard(pc).m[pc] = n
 	}
 	e.nextID = s.NextID
 	e.resumedWall = s.Stats.WallTime
@@ -350,7 +352,7 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 			home:       e.B,
 		})
 	}
-	e.rec.resume(s.Stats, len(live), len(e.visits))
+	e.rec.resume(s.Stats, len(live), len(s.Visits))
 	return live, nil
 }
 

@@ -89,12 +89,21 @@ func assertSameReport(t *testing.T, want, got *core.Report) {
 
 // TestCheckpointResumeBitIdentical: interrupting a serial exploration
 // at an arbitrary checkpoint and resuming it in a fresh engine must
-// produce the same report, path for path, as the uninterrupted run.
+// produce the same report, path for path, as the uninterrupted run —
+// for every deterministic strategy (Coverage also reads the restored
+// visit counts).
 func TestCheckpointResumeBitIdentical(t *testing.T) {
+	for _, strategy := range []core.Strategy{core.DFS, core.BFS, core.Coverage} {
+		t.Run(strategy.String(), func(t *testing.T) { testCheckpointResume(t, strategy) })
+	}
+}
+
+func testCheckpointResume(t *testing.T, strategy core.Strategy) {
 	a := arch.MustLoad("tiny32")
 	p := build(t, "tiny32", resumeSrc)
 
 	run := func(opts core.Options) *core.Report {
+		opts.Strategy = strategy
 		e := core.NewEngine(a, p, opts)
 		for _, c := range checker.All() {
 			e.AddChecker(c)

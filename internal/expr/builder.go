@@ -43,9 +43,6 @@ func NewBuilder() *Builder {
 	return b
 }
 
-// NumTerms returns the number of distinct terms created so far.
-func (b *Builder) NumTerms() int { return len(b.interned) }
-
 func (b *Builder) mk(kind Kind, width uint8, val uint64, name string, a0, a1, a2 *Expr) *Expr {
 	k := key{kind: kind, width: width, val: val, name: name}
 	if a0 != nil {

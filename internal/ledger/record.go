@@ -72,14 +72,6 @@ type Hotspot struct {
 func (r Record) Wall() time.Duration   { return time.Duration(r.WallNS) }
 func (r Record) Solver() time.Duration { return time.Duration(r.SolverNS) }
 
-// CacheHitRate is hits/(hits+misses), or 0 with no queries.
-func (r Record) CacheHitRate() float64 {
-	if t := r.CacheHits + r.CacheMisses; t > 0 {
-		return float64(r.CacheHits) / float64(t)
-	}
-	return 0
-}
-
 // CoverageFloor is the minimum layer coverage fraction, the gating
 // figure; -1 when no layer coverage was recorded.
 func (r Record) CoverageFloor() float64 {
