@@ -213,6 +213,15 @@ type Insn struct {
 	Line     int
 }
 
+// FormatName is the name of the instruction's encoding format, the
+// symbolization profiles record next to the mnemonic.
+func (i *Insn) FormatName() string {
+	if i.Format == nil {
+		return ""
+	}
+	return i.Format.Name
+}
+
 // Operand returns the named operand, or nil.
 func (i *Insn) Operand(name string) *Operand {
 	for _, o := range i.Operands {

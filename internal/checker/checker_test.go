@@ -143,7 +143,7 @@ _start:
 	run := func(extra *core.Region) int {
 		e := core.NewEngine(a, p, core.Options{})
 		if extra != nil {
-			e.AddRegion(*extra)
+			e.Layout = append(e.Layout, *extra)
 		}
 		e.AddChecker(checker.OutOfBounds{})
 		r, err := e.Run()

@@ -1,13 +1,16 @@
 // Compiled execution for the concrete emulator (docs/compile.md).
 //
-// The interpreted Step pays, per instruction: a fetch of MaxInsnBytes
-// from the memory map, a full decoder pass, and an AST walk of the
-// semantics. All three are per-address constants while the code bytes
-// do not change, so the machine keeps a per-address cache of compiled
-// units (decoded instruction + rtl.Compiled closure chain) and, above
-// it, a superblock cache: maximal runs of straightline units (no pc
-// write, no control event) chained so Run executes them back-to-back
-// with no per-instruction dispatch beyond one closure-chain call.
+// Every step runs one unit through execUnit. Uncompiled, a unit costs,
+// per instruction: a fetch of MaxInsnBytes from the memory map, a full
+// decoder pass, and an AST walk of the semantics. All three are
+// per-address constants while the code bytes do not change, so the
+// machine keeps a per-address cache of compiled units (decoded
+// instruction + rtl.Compiled closure chain) and, above it, a superblock
+// cache: maximal runs of straightline units (no pc write, no control
+// event) chained so Run executes them back-to-back with no
+// per-instruction dispatch beyond one closure-chain call. Under
+// NoCompile the machine caches nothing: every step decodes an uncached
+// unit with no chain, which execUnit interprets (rtl.ConcExecScratch).
 //
 // Self-modification guard: the cache tracks the address span covered by
 // compiled code, including the decoder's lookahead window; any store
@@ -27,22 +30,23 @@ import (
 // maxSuperblock bounds the chain length of one superblock.
 const maxSuperblock = 64
 
-// concUnit is one compiled instruction in the machine's code cache.
+// concUnit is one decoded instruction: a compiled one in the machine's
+// code cache, or under NoCompile an uncached one with no chain.
 type concUnit struct {
 	dec  decoder.Decoded
-	unit *rtl.Compiled
+	unit *rtl.Compiled // nil under NoCompile
 }
 
 // concBlock is a superblock: consecutive straightline units starting at
 // the cache key's address. A present-but-empty block records that the
 // head instruction is not straightline.
 type concBlock struct {
-	units []*concUnit
+	units []concUnit
 }
 
 // codeCache is the machine's per-address compiled-code store.
 type codeCache struct {
-	units  map[uint64]*concUnit
+	units  map[uint64]concUnit
 	blocks map[uint64]*concBlock
 	lo, hi uint64 // address span covered by compiled code (incl. decode lookahead)
 	gen    uint64 // bumped on every flush (superblocks in flight must stop)
@@ -61,7 +65,7 @@ type CompileStats struct {
 func (m *Machine) codeCacheInit() *codeCache {
 	if m.code == nil {
 		m.code = &codeCache{
-			units:  make(map[uint64]*concUnit),
+			units:  make(map[uint64]concUnit),
 			blocks: make(map[uint64]*concBlock),
 		}
 	}
@@ -75,7 +79,7 @@ func (m *Machine) flushCode() {
 	if m.code == nil {
 		return
 	}
-	m.code.units = make(map[uint64]*concUnit)
+	m.code.units = make(map[uint64]concUnit)
 	m.code.blocks = make(map[uint64]*concBlock)
 	m.code.lo, m.code.hi = 0, 0
 	m.code.gen++
@@ -100,17 +104,27 @@ func (m *Machine) noteStore(addr uint64, cells uint) {
 }
 
 // unitAt returns the compiled unit for the instruction at pc, compiling
-// on first use. The non-nil Stop reports undecodable bytes.
-func (m *Machine) unitAt(pc uint64) (*concUnit, *Stop) {
-	c := m.codeCacheInit()
-	if u, ok := c.units[pc]; ok {
-		return u, nil
+// on first use; under NoCompile, an uncached unit decoded from the
+// machine's bytes with no chain. The unit is returned by value so an
+// uncached one stays on the caller's stack. The non-nil Stop reports
+// undecodable bytes.
+func (m *Machine) unitAt(pc uint64) (concUnit, *Stop) {
+	var c *codeCache
+	if !m.NoCompile {
+		c = m.codeCacheInit()
+		if u, ok := c.units[pc]; ok {
+			return u, nil
+		}
 	}
 	dec, err := m.Dec.Decode(m.fetch(pc))
 	if err != nil {
-		return nil, &Stop{Kind: StopDecode, PC: pc, Err: err}
+		return concUnit{}, &Stop{Kind: StopDecode, PC: pc, Err: err}
 	}
-	u := &concUnit{dec: dec, unit: rtl.Compile(dec.Insn, dec.Ops, m.Arch.PC)}
+	u := concUnit{dec: dec}
+	if c == nil {
+		return u, nil
+	}
+	u.unit = rtl.Compile(dec.Insn, dec.Ops, m.Arch.PC)
 	c.units[pc] = u
 	// Extend the self-modification span over the decoder's full
 	// lookahead window: a store beyond the matched encoding but inside
@@ -135,8 +149,11 @@ func (m *Machine) unitAt(pc uint64) (*concUnit, *Stop) {
 
 // blockAt returns the superblock starting at pc, building and caching
 // it on first use (an empty block marks a non-straightline head). nil
-// means the head instruction failed to decode.
+// means the head instruction failed to decode, or NoCompile.
 func (m *Machine) blockAt(pc uint64) *concBlock {
+	if m.NoCompile {
+		return nil
+	}
 	c := m.codeCacheInit()
 	if b, ok := c.blocks[pc]; ok {
 		return b
@@ -168,19 +185,26 @@ func (m *Machine) blockAt(pc uint64) *concBlock {
 	return blk
 }
 
-// execUnit executes one compiled instruction at pc: the exact
-// post-decode sequence of the interpreted Step (coverage, event
-// handling, fall-through pc update). The caller has already fired the
-// per-step injection site.
+// execUnit executes the instruction at pc: its closure chain, or the
+// RTL interpreter for a unit with none, then coverage, event handling
+// and the fall-through pc update. It is the emulator's only step body;
+// the caller has already fired the per-step injection site.
 func (m *Machine) execUnit(pc uint64, u *concUnit) *Stop {
 	m.pcWritten = false
 	if m.Prof != nil {
-		m.Prof.Exec(pc, u.unit.Mnemonic, u.unit.Format)
+		m.Prof.Exec(pc, u.dec.Insn.Mnemonic, u.dec.Insn.FormatName())
 	}
-	res := u.unit.ExecConc(m, &m.scratch)
+	var res rtl.ConcResult
+	if u.unit != nil {
+		res = u.unit.ExecConc(m, &m.scratch)
+	} else {
+		res = rtl.ConcExecScratch(m, u.dec.Insn, u.dec.Ops, &m.scratch)
+	}
 	m.Steps++
 	if m.Cov != nil {
 		m.Cov.Hit(cover.LConc, u.dec.Insn)
+		// For a branch-classified instruction the taken way is exactly
+		// "the semantics wrote pc" (the not-taken way falls through).
 		m.Cov.Branch(cover.LConc, u.dec.Insn, m.pcWritten)
 	}
 	switch {
@@ -207,10 +231,10 @@ func (m *Machine) execUnit(pc uint64, u *concUnit) *Stop {
 }
 
 // runChunk advances the machine by up to budget instructions: a whole
-// superblock when the current pc heads one, a single compiled
-// instruction otherwise. It returns a non-nil Stop when the run ends.
-// The recover boundary lives in runCompiled (once per Run, not per
-// chunk); curPC tracks the executing instruction for panic attribution.
+// superblock when the current pc heads one, a single step otherwise. It
+// returns a non-nil Stop when the run ends. The recover boundary lives
+// in Run (once per Run, not per chunk); curPC tracks the executing
+// instruction for panic attribution.
 func (m *Machine) runChunk(budget int64) (done *Stop) {
 	pc := m.PC()
 	m.curPC = pc
@@ -227,11 +251,10 @@ func (m *Machine) runChunk(budget int64) (done *Stop) {
 			m.Metrics.SuperblockInsns.Add(int64(n))
 		}
 		gen := m.code.gen
-		for i := 0; i < n; i++ {
-			u := blk.units[i]
+		for i := range n {
 			m.curPC = pc
 			m.Inject.Fire(faultinject.SiteConcStep)
-			if s := m.execUnit(pc, u); s != nil {
+			if s := m.execUnit(pc, &blk.units[i]); s != nil {
 				return s
 			}
 			pc = m.PC()
@@ -243,13 +266,8 @@ func (m *Machine) runChunk(budget int64) (done *Stop) {
 		}
 		return nil
 	}
-	// Non-straightline head (branch, trap, halt) or undecodable bytes:
-	// one compiled step, mirroring the interpreted order (injection site
-	// fires before the decode attempt).
-	m.Inject.Fire(faultinject.SiteConcStep)
-	u, stop := m.unitAt(pc)
-	if stop != nil {
-		return stop
-	}
-	return m.execUnit(pc, u)
+	// Non-straightline head (branch, trap, halt), undecodable bytes or
+	// NoCompile: one step (the injection site fires before the decode
+	// attempt).
+	return m.step(pc)
 }

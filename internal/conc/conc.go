@@ -131,8 +131,8 @@ type Machine struct {
 	Cov *cover.ArchCov
 
 	// NoCompile disables the semantics compiler and superblock caching
-	// (ablation): every step re-fetches, re-decodes and re-interprets
-	// the RTL AST, as before PR 6 (docs/compile.md).
+	// (ablation): every step re-fetches and re-decodes its instruction
+	// and interprets the RTL AST (docs/compile.md).
 	NoCompile bool
 
 	// CompileStats counts compiled units, superblocks and cache flushes
@@ -140,7 +140,7 @@ type Machine struct {
 	CompileStats CompileStats
 
 	code    *codeCache  // per-address compiled units and superblocks
-	scratch rtl.Scratch // reusable locals buffer (also for the interpreted path)
+	scratch rtl.Scratch // reusable locals buffer
 	curPC   uint64      // instruction under execution (panic attribution in superblocks)
 
 	sysArg *adl.Reg
@@ -294,58 +294,18 @@ func (m *Machine) Step() (done *Stop) {
 			done = m.recoverStop(pc, r)
 		}
 	}()
+	return m.step(pc)
+}
+
+// step fires the per-step injection site, then fetches and executes the
+// unit at pc: the single-step body shared by Step and Run.
+func (m *Machine) step(pc uint64) *Stop {
 	m.Inject.Fire(faultinject.SiteConcStep)
-	if !m.NoCompile {
-		// Compiled single step: per-address cached decode + closure
-		// chain. Run additionally chains superblocks (compile.go).
-		u, stop := m.unitAt(pc)
-		if stop != nil {
-			return stop
-		}
-		return m.execUnit(pc, u)
+	u, stop := m.unitAt(pc)
+	if stop != nil {
+		return stop
 	}
-	buf := m.fetch(pc)
-	dec, err := m.Dec.Decode(buf)
-	if err != nil {
-		return &Stop{Kind: StopDecode, PC: pc, Err: err}
-	}
-	m.pcWritten = false
-	if m.Prof != nil {
-		format := ""
-		if dec.Insn.Format != nil {
-			format = dec.Insn.Format.Name
-		}
-		m.Prof.Exec(pc, dec.Insn.Mnemonic, format)
-	}
-	res := rtl.ConcExecScratch(m, dec.Insn, dec.Ops, &m.scratch)
-	m.Steps++
-	if m.Cov != nil {
-		m.Cov.Hit(cover.LConc, dec.Insn)
-		// For a branch-classified instruction the taken way is exactly
-		// "the semantics wrote pc" (the not-taken way falls through).
-		m.Cov.Branch(cover.LConc, dec.Insn, m.pcWritten)
-	}
-	switch {
-	case res.Fault != "":
-		m.Cov.Event(cover.LConc, cover.EvFault)
-		return &Stop{Kind: StopFault, PC: pc, Fault: res.Fault}
-	case res.Halted:
-		m.Cov.Event(cover.LConc, cover.EvHalt)
-		return &Stop{Kind: StopHalt, PC: pc}
-	case res.Trapped:
-		m.Cov.Event(cover.LConc, cover.EvTrap)
-		halt, err := m.trap(res.TrapCode)
-		if err != nil {
-			return &Stop{Kind: StopFault, PC: pc, Fault: err.Error()}
-		}
-		if halt {
-			return &Stop{Kind: StopExit, PC: pc}
-		}
-	}
-	if !m.pcWritten {
-		m.WriteReg(m.Arch.PC, pc+uint64(dec.Len))
-	}
-	return nil
+	return m.execUnit(pc, &u)
 }
 
 // recoverStop converts a panic recovered at the step boundary into a
@@ -406,34 +366,21 @@ func (m *Machine) trap(code uint64) (halt bool, err error) {
 }
 
 // Run executes until a stop condition or the step budget is exhausted.
-func (m *Machine) Run(maxSteps int64) Stop {
-	var t0 time.Time
+// It advances by superblocks (straightline runs execute back-to-back
+// with no per-instruction dispatch), falling back to single steps at
+// branches and control events, and under NoCompile everywhere. One
+// recover boundary covers the whole loop — a recovered panic always
+// ends the run, and hoisting the defer out of the per-chunk path
+// matters on branchy code with short superblocks.
+func (m *Machine) Run(maxSteps int64) (stop Stop) {
 	start := m.Steps
 	if m.Metrics != nil {
-		t0 = time.Now()
+		t0 := time.Now()
 		defer func() {
 			m.Metrics.Steps.Add(m.Steps - start)
 			m.Metrics.RunSeconds.ObserveSince(t0)
 		}()
 	}
-	if m.NoCompile {
-		for i := int64(0); i < maxSteps; i++ {
-			if s := m.Step(); s != nil {
-				return *s
-			}
-		}
-		return Stop{Kind: StopSteps, PC: m.PC()}
-	}
-	return m.runCompiled(maxSteps, start)
-}
-
-// runCompiled is the compiled Run loop: advance by superblocks
-// (straightline runs execute back-to-back with no per-instruction
-// dispatch), falling back to compiled single steps at branches and
-// control events. One recover boundary covers the whole loop — a
-// recovered panic always ends the run, and hoisting the defer out of
-// the per-chunk path matters on branchy code with short superblocks.
-func (m *Machine) runCompiled(maxSteps, start int64) (stop Stop) {
 	defer func() {
 		if r := recover(); r != nil {
 			stop = *m.recoverStop(m.curPC, r)

@@ -1,12 +1,13 @@
 // Compiled symbolic execution (docs/compile.md).
 //
-// Every engine step runs through execEntry. An entry resolves, once per
-// address, everything the step would otherwise recompute per execution:
-// the decoded instruction, its rtl.Compiled closure chain, disassembly
-// and fall-through continuation. The engine keeps a shared per-address
-// cache of entries and, above it, superblocks: maximal runs of
-// straightline entries (no pc write, no control event) executed
-// back-to-back inside one step call.
+// Every engine instruction runs through execUnit, from execEntry or
+// runBlock. An entry resolves, once per address, everything the step
+// would otherwise recompute per execution: the decoded instruction, its
+// rtl.Compiled closure chain, disassembly and fall-through
+// continuation. The engine keeps a shared per-address cache of entries
+// and, above it, superblocks: maximal runs of straightline entries (no
+// pc write, no control event) executed back-to-back inside one step
+// call.
 //
 // The cache is shared by every worker of a parallel run: compiled
 // closures capture only immutable ADL data (resolved registers, widths,
@@ -16,7 +17,7 @@
 // Self-modifying code: a state whose memory overlay touches the bytes an
 // instruction's decode depends on (its decode window, see
 // decoder.Window) gets an uncached entry decoded from its own bytes,
-// with no compiled unit; execEntry runs that one through the RTL
+// with no compiled unit; execUnit runs that one through the RTL
 // interpreter (rtl.SymEval), because compiling a unit that is used once
 // costs several times its interpretation. Superblock execution
 // re-checks the window before every chained entry. The shared cache is
@@ -173,16 +174,48 @@ func (e *Engine) blockFor(st *State) *compBlock {
 	return blk
 }
 
+// execUnit runs one entry's instruction on st, in superblock blk (nil
+// for a single step): what every instruction owes (visit count, sym and
+// translate coverage, translate injection site, step count), the pc
+// continuation, and the compiled unit, or the RTL interpreter for an
+// entry without one. ec is reset here, so a block run reuses one. A
+// non-nil end is st killed as infeasible.
+func (e *Engine) execUnit(ec *execCtx, st *State, ent *compEntry, blk *compBlock) (events []rtl.Event, end []*State, err error) {
+	pc := st.PC
+	e.rec.insn(pc, e.visits.inc(pc), ent, blk)
+	e.cov.Hit(cover.LSym, ent.dec.Insn)
+	st.Steps++
+	e.inject.Fire(faultinject.SiteTranslate)
+	e.cov.Hit(cover.LTranslate, ent.dec.Insn)
+
+	// The pc register holds the fall-through continuation; semantic reads
+	// of pc observe the instruction's own address via execCtx.ReadReg.
+	pcReg := e.Arch.PC
+	st.SetReg(pcReg, e.B.Const(pcReg.Width, ent.cont))
+
+	*ec = execCtx{e: e, st: st, insAddr: pc, disasm: ent.disasm}
+	if ent.unit != nil {
+		events = ent.unit.ExecSym(e.B, ec, &e.scratch)
+	} else {
+		// Cov and Inject stay nil: the translate site and coverage hit
+		// already fired above.
+		ev := rtl.SymEval{B: e.B, A: e.Arch}
+		events = ev.Exec(ec, ent.dec.Insn, ent.dec.Ops)
+	}
+	if ec.infeasible && ec.err == nil {
+		return nil, []*State{st.done(StatusKilled)}, nil
+	}
+	return events, nil, ec.err
+}
+
 // runBlock executes the superblock's straightline prefix on st inside
 // one step call. Straightline units cannot fork, halt or branch, so the
 // state threads through unchanged; the block's terminator (and anything
-// past a self-modified window) runs via the next step call. Every
-// per-instruction obligation of execEntry — visit counts, coverage
-// hits, injection sites, the MaxSteps check — fires per unit, so a
-// block run is observationally per-instruction.
+// past a self-modified window) runs via the next step call. Every unit
+// runs through execUnit and is checked against MaxSteps, so a block run
+// is observationally per-instruction.
 func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
-	pcReg := e.Arch.PC
-	ec := &execCtx{e: e}
+	ec := &execCtx{}
 	n := 0
 	defer func() { e.rec.block(blk, n) }()
 	for i, ent := range blk.units {
@@ -195,23 +228,10 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 				break // self-modified under this state: re-enter via step
 			}
 		}
-		e.rec.insn(pc, e.visits.inc(pc), ent, blk)
-		e.cov.Hit(cover.LSym, ent.dec.Insn)
-		st.Steps++
 		n++
-		// Translate layer: one injection site and coverage hit per
-		// instruction, as in execEntry.
-		e.inject.Fire(faultinject.SiteTranslate)
-		e.cov.Hit(cover.LTranslate, ent.dec.Insn)
-		st.SetReg(pcReg, e.B.Const(pcReg.Width, ent.cont))
-		ec.st, ec.insAddr, ec.disasm = st, pc, ent.disasm
-		ec.infeasible, ec.err = false, nil
-		events := ent.unit.ExecSym(e.B, ec, &e.scratch)
-		if ec.err != nil {
-			return nil, ec.err
-		}
-		if ec.infeasible {
-			return []*State{st.done(StatusKilled)}, nil
+		events, end, err := e.execUnit(ec, st, ent, blk)
+		if end != nil || err != nil {
+			return end, err
 		}
 		if len(events) > 0 {
 			// Straightline units raise only division observations
@@ -231,38 +251,15 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 	return []*State{st}, nil
 }
 
-// execEntry executes one instruction with full control-flow handling;
-// it is the engine's only step body. An entry without a compiled unit —
-// the uncached entry step builds for a self-modified fetch window — runs
-// through the RTL interpreter instead.
+// execEntry executes one instruction with full control-flow handling:
+// execUnit, then the control events and the pc resolution. An entry
+// without a compiled unit is the uncached one step builds for a
+// self-modified fetch window.
 func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 	insAddr := st.PC
-	e.rec.insn(insAddr, e.visits.inc(insAddr), ent, nil)
-	e.cov.Hit(cover.LSym, ent.dec.Insn)
-	st.Steps++
-	e.inject.Fire(faultinject.SiteTranslate)
-	e.cov.Hit(cover.LTranslate, ent.dec.Insn)
-
-	// The pc register holds the fall-through continuation; semantic reads
-	// of pc observe the instruction's own address via execCtx.ReadReg.
-	pcReg := e.Arch.PC
-	st.SetReg(pcReg, e.B.Const(pcReg.Width, ent.cont))
-
-	ec := &execCtx{e: e, st: st, insAddr: insAddr, disasm: ent.disasm}
-	var events []rtl.Event
-	if ent.unit != nil {
-		events = ent.unit.ExecSym(e.B, ec, &e.scratch)
-	} else {
-		// Cov and Inject stay nil: the translate site and coverage hit
-		// already fired above.
-		ev := rtl.SymEval{B: e.B, A: e.Arch}
-		events = ev.Exec(ec, ent.dec.Insn, ent.dec.Ops)
-	}
-	if ec.err != nil {
-		return nil, ec.err
-	}
-	if ec.infeasible {
-		return []*State{st.done(StatusKilled)}, nil
+	events, end, err := e.execUnit(&execCtx{}, st, ent, nil)
+	if end != nil || err != nil {
+		return end, err
 	}
 	done, continuing, err := e.handleEvents(st, events, insAddr, ent.disasm)
 	if err != nil {

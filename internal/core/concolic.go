@@ -44,9 +44,10 @@ type ConcolicReport struct {
 // order, preferring those derived from deeper branch flips first (the
 // classic heuristic).
 func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
+	if err := e.claim(); err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
-	e.report = Report{}
-	e.bugSeen = newBugDedup()
 	defer e.rec.fold()
 	rep := &ConcolicReport{}
 	tried := map[string]bool{}

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -219,11 +220,9 @@ type Options struct {
 	// malformed snapshot, and when combined with Workers > 1.
 	Resume *Snapshot
 
-	// StackBase and StackSize describe the stack region; the engine
-	// initializes the architecture's sp register to StackBase. Defaults:
-	// 0x40000 and 0x10000.
+	// StackBase is the top of the stack region; the engine initializes
+	// the architecture's sp register to it. Default: 0x40000.
 	StackBase uint64
-	StackSize uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -239,8 +238,7 @@ func (o Options) withDefaults() Options {
 	if o.InputBytes == 0 {
 		o.InputBytes = 8
 	}
-	// StackBase/StackSize default in NewEngine, which knows the address
-	// width.
+	// StackBase defaults in NewEngine, which knows the address width.
 	return o
 }
 
@@ -366,7 +364,9 @@ type Checker interface {
 	Jump(ctx *CheckCtx, target *expr.Expr)
 }
 
-// Engine is a symbolic execution engine instance for one program.
+// Engine is a symbolic execution engine instance for one program. It is
+// single-use: one Run, Concolic or ReplayConcrete call per engine; a
+// second returns an error.
 type Engine struct {
 	Arch   *adl.Arch
 	B      *expr.Builder
@@ -393,6 +393,7 @@ type Engine struct {
 
 	nextID int
 	report Report
+	ran    bool // a Run, Concolic or ReplayConcrete call has started
 
 	// concEnv, when non-nil, pins symbolic choices (address
 	// concretization, jump-target enumeration) to the concrete input of
@@ -448,15 +449,13 @@ type Region struct {
 // only machine-dependent input.
 func NewEngine(a *adl.Arch, p *prog.Program, opts Options) *Engine {
 	opts = opts.withDefaults()
+	stackSize := uint64(0x10000)
 	if opts.StackBase == 0 {
 		if a.Bits <= 16 {
-			opts.StackBase, opts.StackSize = uint64(1)<<(a.Bits-1)-8, 0x1000
+			opts.StackBase, stackSize = uint64(1)<<(a.Bits-1)-8, 0x1000
 		} else {
 			opts.StackBase = 0x40000
 		}
-	}
-	if opts.StackSize == 0 {
-		opts.StackSize = 0x10000
 	}
 	b := expr.NewBuilder()
 	b.Simplify = !opts.NoSimplify
@@ -497,15 +496,21 @@ func NewEngine(a *adl.Arch, p *prog.Program, opts Options) *Engine {
 	for _, s := range p.Segments {
 		e.Layout = append(e.Layout, Region{Lo: s.Addr, Hi: s.Addr + uint64(len(s.Data)), Role: "image"})
 	}
-	e.Layout = append(e.Layout, Region{Lo: opts.StackBase - opts.StackSize, Hi: opts.StackBase + 1, Role: "stack"})
+	e.Layout = append(e.Layout, Region{Lo: opts.StackBase - stackSize, Hi: opts.StackBase + 1, Role: "stack"})
 	return e
 }
 
 // AddChecker registers a checker for subsequent runs.
 func (e *Engine) AddChecker(c Checker) { e.checkers = append(e.checkers, c) }
 
-// AddRegion extends the valid-memory layout.
-func (e *Engine) AddRegion(r Region) { e.Layout = append(e.Layout, r) }
+// claim marks the engine used; a used engine refuses to run again.
+func (e *Engine) claim() error {
+	if e.ran {
+		return errors.New("core: engine already ran; build a new one per run")
+	}
+	e.ran = true
+	return nil
+}
 
 // InRegion reports whether a concrete address lies in a valid region.
 func (e *Engine) InRegion(addr uint64) bool {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/harness"
 	"repro/internal/prog"
 	"repro/internal/smt"
 )
@@ -422,4 +423,46 @@ _start:
 		t.Errorf("in0 = %q, want 'x'", got)
 	}
 	_ = expr.Env{}
+}
+
+// TestEngineRunsOnce: an engine is single-use. Its path IDs, visit
+// counts and bug dedup belong to one run, so any second Run, Concolic
+// or ReplayConcrete call on it is refused instead of continuing them.
+func TestEngineRunsOnce(t *testing.T) {
+	p := build(t, "tiny32", harness.BranchLadder("tiny32", 3))
+	a := arch.MustLoad("tiny32")
+	opts := core.Options{InputBytes: 3}
+	calls := []struct {
+		name string
+		call func(*core.Engine) error
+	}{
+		{"Run", func(e *core.Engine) error {
+			r, err := e.Run()
+			if err == nil && len(r.Paths) != 8 {
+				t.Errorf("Run: %d paths, want 8", len(r.Paths))
+			} else if err == nil && r.Paths[0].ID != 0 {
+				t.Errorf("Run: first path ID %d, want 0", r.Paths[0].ID)
+			}
+			return err
+		}},
+		{"Concolic", func(e *core.Engine) error {
+			_, err := e.Concolic(nil, 4)
+			return err
+		}},
+		{"ReplayConcrete", func(e *core.Engine) error {
+			_, err := e.ReplayConcrete(make([]byte, 3))
+			return err
+		}},
+	}
+	for _, first := range calls {
+		for _, second := range calls {
+			e := core.NewEngine(a, p, opts)
+			if err := first.call(e); err != nil {
+				t.Fatalf("%s on a fresh engine: %v", first.name, err)
+			}
+			if err := second.call(e); err == nil {
+				t.Errorf("%s after %s: no error, want the engine refused", second.name, first.name)
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/adl"
 	"repro/internal/bv"
 	"repro/internal/cover"
 	"repro/internal/decoder"
@@ -66,15 +65,6 @@ func (st *State) done(status Status) *State {
 	st.Done = true
 	st.Status = status
 	return st
-}
-
-// formatName is the encoding-format symbolization handed to the
-// profiler alongside the mnemonic.
-func formatName(ins *adl.Insn) string {
-	if ins.Format == nil {
-		return ""
-	}
-	return ins.Format.Name
 }
 
 // step executes one instruction of st and returns the successor states

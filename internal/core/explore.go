@@ -331,13 +331,14 @@ func (f *frontier) workerDied() {
 // and returns the report. Options.Workers workers, at least one, run the
 // exploration loop over one shared frontier.
 func (e *Engine) Run() (*Report, error) {
+	if err := e.claim(); err != nil {
+		return nil, err
+	}
 	nw := max(e.Opts.Workers, 1)
 	if nw > 1 && e.Opts.Resume != nil {
 		return nil, fmt.Errorf("core: Resume requires a serial run (Workers = %d)", e.Opts.Workers)
 	}
 	start := time.Now()
-	e.report = Report{}
-	e.bugSeen = newBugDedup()
 	defer e.rec.fold()
 	var live []*State
 	if e.Opts.Resume != nil {

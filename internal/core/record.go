@@ -175,7 +175,7 @@ func (r *recorder) insnViews(pc uint64, newPC bool, ent *compEntry, blk *compBlo
 		}
 	}
 	if r.prof != nil && (blk == nil || !blk.shared) {
-		r.prof.Exec(pc, ent.dec.Insn.Mnemonic, formatName(ent.dec.Insn))
+		r.prof.Exec(pc, ent.dec.Insn.Mnemonic, ent.dec.Insn.FormatName())
 		if blk != nil {
 			r.prof.Edge(pc, ent.cont)
 		}

@@ -26,6 +26,9 @@ type Replay struct {
 // or the engine's extra symbolic input bytes will evaluate to zero while
 // a concrete reference machine reports EOF instead.
 func (e *Engine) ReplayConcrete(input []byte) (*Replay, error) {
+	if err := e.claim(); err != nil {
+		return nil, err
+	}
 	defer e.rec.fold()
 	end, env, err := e.followConcrete(input,
 		"core: concrete replay is ambiguous at %#x", "core: concrete replay lost the path at %#x")

@@ -435,9 +435,6 @@ func (b *Builder) UGt(x, y *Expr) *Expr { return b.ULt(y, x) }
 // UGe returns x >= y unsigned, expressed as y <= x.
 func (b *Builder) UGe(x, y *Expr) *Expr { return b.ULe(y, x) }
 
-// SGt returns x > y signed.
-func (b *Builder) SGt(x, y *Expr) *Expr { return b.SLt(y, x) }
-
 // SGe returns x >= y signed.
 func (b *Builder) SGe(x, y *Expr) *Expr { return b.SLe(y, x) }
 

@@ -192,3 +192,42 @@ func TestTransferMultiRootMemo(t *testing.T) {
 		t.Error("multi-root transfer changed values")
 	}
 }
+
+// TestTransferEquivalentToEval: a term built without the rewrite rules
+// and transferred into a simplifying builder passes every node through
+// rebuild, which applies the destination's folding and rules per kind;
+// the result must evaluate like the source, for random expressions.
+func TestTransferEquivalentToEval(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 100; iter++ {
+		b := NewBuilder()
+		plain := NewBuilder()
+		plain.Simplify = false
+		_, e := randomExpr(r, b, plain, []string{"a", "b"}, 16, 4)
+		out := Transfer(NewBuilder(), e, make(map[*Expr]*Expr))
+		for i := 0; i < 4; i++ {
+			env := Env{"a": r.Uint64(), "b": r.Uint64()}
+			if got, want := Eval(out, env), Eval(e, env); got != want {
+				t.Fatalf("transfer %#x != source %#x for %v under %v", got, want, e, env)
+			}
+		}
+	}
+}
+
+// TestTransferConstantsFold: rebuild folds the constants a rewrite in
+// the destination builder exposes. x - x is a node in a builder without
+// rules; rebuilt in a simplifying one it becomes 0, and the addition
+// over it folds to the constant.
+func TestTransferConstantsFold(t *testing.T) {
+	plain := NewBuilder()
+	plain.Simplify = false
+	x := plain.Var(8, "x")
+	e := plain.Add(plain.Sub(x, x), plain.Const(8, 10))
+	if e.IsConst() {
+		t.Fatalf("source already folded: %v", e)
+	}
+	out := Transfer(NewBuilder(), e, make(map[*Expr]*Expr))
+	if !out.IsConst() || out.ConstVal() != 10 {
+		t.Errorf("transfer into a simplifying builder did not fold: %v", out)
+	}
+}

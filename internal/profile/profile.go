@@ -110,17 +110,6 @@ func New(meta Meta) *Profiler {
 	}
 }
 
-// SetJobID stamps the job correlation key after the fact (the daemon
-// assigns IDs after the job payload is built).
-func (p *Profiler) SetJobID(id string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.meta.JobID = id
-	p.mu.Unlock()
-}
-
 // NewShard returns a worker-local recording shard. On a nil profiler
 // it returns nil, and every Shard method no-ops on nil — the zero-cost
 // off switch.

@@ -161,7 +161,6 @@ func TestNilSafety(t *testing.T) {
 	p.Fold(s)
 	p.Fold(nil)
 	p.Absorb(nil)
-	p.SetJobID("j")
 	if rep := p.Report(); len(rep.Hotspots) != 0 {
 		t.Fatalf("nil profiler report has %d hotspots", len(rep.Hotspots))
 	}

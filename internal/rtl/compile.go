@@ -239,10 +239,7 @@ func (u *Compiled) ExecSym(b *expr.Builder, st SymState, sc *Scratch) []Event {
 // the same recover boundaries.
 func Compile(ins *adl.Insn, ops Operands, pc *adl.Reg) *Compiled {
 	cc := &compiler{ops: ops, pc: pc}
-	u := &Compiled{NumLocals: adl.NumLocals(ins.Sem), Mnemonic: ins.Mnemonic}
-	if ins.Format != nil {
-		u.Format = ins.Format.Name
-	}
+	u := &Compiled{NumLocals: adl.NumLocals(ins.Sem), Mnemonic: ins.Mnemonic, Format: ins.FormatName()}
 	if pc == nil {
 		u.WritesPC = true
 	}

@@ -27,9 +27,6 @@ type ConcResult struct {
 	Fault    string // empty = no fault
 }
 
-// Stopped reports whether the instruction ended the straight-line run.
-func (r ConcResult) Stopped() bool { return r.Halted || r.Trapped || r.Fault != "" }
-
 // ConcExec runs the semantics of ins concretely. The caller must have set
 // pc to the instruction's address; on return, if the semantics did not
 // assign pc, the caller advances it by the encoding length.

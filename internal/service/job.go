@@ -367,6 +367,30 @@ func (s *Server) runExplore(j *Job, e *core.Engine, t0 time.Time) {
 		s.failJob(j, &JobError{Code: CodeEngine, Msg: err.Error()}, nil)
 		return
 	}
+	paths := make([]*PathEvent, len(rep.Paths))
+	for i, p := range rep.Paths {
+		paths[i] = &PathEvent{ID: p.ID, Status: p.Status.String(), EndPC: p.EndPC, Steps: p.Steps, Depth: p.Depth}
+	}
+	s.finishRun(j, t0, rep.Stats, paths, rep.Bugs, rep.Faults)
+}
+
+func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
+	rep, err := e.Concolic(j.seed, j.maxRuns)
+	if err != nil {
+		s.failJob(j, &JobError{Code: CodeEngine, Msg: err.Error()}, nil)
+		return
+	}
+	paths := make([]*PathEvent, len(rep.Paths))
+	for i, p := range rep.Paths {
+		paths[i] = &PathEvent{ID: i, Status: p.Status.String(), Steps: p.Steps, Input: p.Input}
+	}
+	s.finishRun(j, t0, rep.Stats, paths, rep.Bugs, rep.Faults)
+}
+
+// finishRun is the tail of a completed run in either mode: the
+// watchdog-stall check, the stats store, the path, bug, fault,
+// coverage and done events, and the canceled-or-done finish.
+func (s *Server) finishRun(j *Job, t0 time.Time, st core.Stats, paths []*PathEvent, bugs []core.Bug, faults []core.PathFault) {
 	if j.stalled.Load() {
 		// The watchdog killed the run; the partial report is the failed
 		// attempt's, so only the typed fault goes to the event log.
@@ -376,66 +400,22 @@ func (s *Server) runExplore(j *Job, e *core.Engine, t0 time.Time) {
 		s.failJob(j, &JobError{Code: CodeStalled, Msg: fr.Msg, Fault: fr}, nil)
 		return
 	}
-	stats := jobStats(rep.Stats, len(rep.Paths), len(rep.Bugs), t0)
+	stats := jobStats(st, len(paths), len(bugs), t0)
 	j.mu.Lock()
-	cs := rep.Stats
-	j.coreStats = &cs
+	j.coreStats = &st
 	j.mu.Unlock()
-	for _, p := range rep.Paths {
-		j.emit(Event{Type: "path", Path: &PathEvent{
-			ID: p.ID, Status: p.Status.String(), EndPC: p.EndPC, Steps: p.Steps, Depth: p.Depth,
-		}})
+	for _, p := range paths {
+		j.emit(Event{Type: "path", Path: p})
 	}
-	for _, b := range rep.Bugs {
+	for _, b := range bugs {
 		j.emit(Event{Type: "bug", Bug: &BugEvent{
 			Check: b.Check, PC: b.PC, Insn: b.Insn, Msg: b.Msg, Input: b.Input,
 		}})
 	}
-	for _, f := range rep.Faults {
+	for _, f := range faults {
 		j.emit(Event{Type: "fault", Fault: &FaultRecord{Layer: f.Layer, PC: f.PC, Msg: f.Msg}})
 	}
-	j.emit(Event{Type: "coverage", Coverage: &CoverageEvent{Covered: rep.Stats.Coverage}})
-	j.emit(Event{Type: "done", Done: stats})
-
-	if j.cancelReq.Load() {
-		j.finish(StateCanceled, &JobError{Code: CodeCanceled, Msg: "canceled while running"}, stats)
-		return
-	}
-	j.finish(StateDone, nil, stats)
-}
-
-func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
-	rep, err := e.Concolic(j.seed, j.maxRuns)
-	if err != nil {
-		s.failJob(j, &JobError{Code: CodeEngine, Msg: err.Error()}, nil)
-		return
-	}
-	if j.stalled.Load() {
-		fr := &FaultRecord{Site: faultinject.SiteStall.String(),
-			Msg: fmt.Sprintf("no progress for %v, killed by watchdog", s.cfg.StallTimeout)}
-		j.emit(Event{Type: "fault", Fault: fr})
-		s.failJob(j, &JobError{Code: CodeStalled, Msg: fr.Msg, Fault: fr}, nil)
-		return
-	}
-	stats := jobStats(rep.Stats, len(rep.Paths), len(rep.Bugs), t0)
-	j.mu.Lock()
-	cs := rep.Stats
-	j.coreStats = &cs
-	j.mu.Unlock()
-	for i, p := range rep.Paths {
-		j.emit(Event{Type: "path", Path: &PathEvent{
-			ID: i, Status: p.Status.String(), Steps: p.Steps, Input: p.Input,
-		}})
-	}
-	for _, b := range rep.Bugs {
-		j.emit(Event{Type: "bug", Bug: &BugEvent{
-			Check: b.Check, PC: b.PC, Insn: b.Insn, Msg: b.Msg, Input: b.Input,
-		}})
-	}
-	for _, f := range rep.Faults {
-		j.emit(Event{Type: "fault", Fault: &FaultRecord{Layer: f.Layer, PC: f.PC, Msg: f.Msg}})
-	}
-	j.emit(Event{Type: "coverage", Coverage: &CoverageEvent{Covered: rep.Stats.Coverage}})
+	j.emit(Event{Type: "coverage", Coverage: &CoverageEvent{Covered: st.Coverage}})
 	j.emit(Event{Type: "done", Done: stats})
 
 	if j.cancelReq.Load() {

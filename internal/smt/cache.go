@@ -187,14 +187,6 @@ type CacheStats struct {
 	Size     int
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // Stats returns a snapshot of the counters that is consistent enough
 // for ratio math while shards mutate: the hit counter is re-read until
 // it is stable around the other loads, so a concurrently recorded
@@ -221,11 +213,6 @@ func (c *QueryCache) Stats() CacheStats {
 	}
 	return st
 }
-
-// HitRate returns hits / (hits + misses) from a consistent snapshot, or
-// 0 before any lookup. Safe to call while lookups are in flight; the
-// result is always in [0, 1].
-func (c *QueryCache) HitRate() float64 { return c.Stats().HitRate() }
 
 // Size returns the number of memoized queries. Each shard is counted
 // under its lock; with no eviction the result is a lower bound of the

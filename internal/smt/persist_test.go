@@ -386,9 +386,11 @@ func TestPersistFlushUnderConcurrentSolving(t *testing.T) {
 				t.Errorf("snapshot: disk hits %d > hits %d", st.DiskHits, st.Hits)
 				return
 			}
-			if r := st.HitRate(); r < 0 || r > 1 {
-				t.Errorf("snapshot: hit rate %v out of [0,1]", r)
-				return
+			if n := st.Hits + st.Misses; n > 0 {
+				if r := float64(st.Hits) / float64(n); r < 0 || r > 1 {
+					t.Errorf("snapshot: hit rate %v out of [0,1]", r)
+					return
+				}
 			}
 		}
 	}()
