@@ -139,9 +139,10 @@ type Machine struct {
 	// for this machine (the registry metrics mirror it).
 	CompileStats CompileStats
 
-	code    *codeCache  // per-address compiled units and superblocks
-	scratch rtl.Scratch // reusable locals buffer
-	curPC   uint64      // instruction under execution (panic attribution in superblocks)
+	code     *codeCache  // per-address compiled units and superblocks
+	scratch  rtl.Scratch // reusable locals buffer
+	fetchBuf []byte      // fetch's reused MaxInsnBytes window
+	curPC    uint64      // instruction under execution (panic attribution in superblocks)
 
 	sysArg *adl.Reg
 	sysRet *adl.Reg
@@ -328,13 +329,16 @@ func (m *Machine) recoverStop(pc uint64, r any) *Stop {
 	return &Stop{Kind: StopPanic, PC: pc, Fault: fmt.Sprint(r), Layer: layer, Stack: string(stack)}
 }
 
+// fetch returns the MaxInsnBytes window at pc in a buffer the machine
+// reuses: it is valid until the next fetch.
 func (m *Machine) fetch(pc uint64) []byte {
-	n := m.Arch.MaxInsnBytes()
-	buf := make([]byte, n)
-	for i := 0; i < n; i++ {
-		buf[i] = m.mem[m.trunc(pc+uint64(i))]
+	if m.fetchBuf == nil {
+		m.fetchBuf = make([]byte, m.Arch.MaxInsnBytes())
 	}
-	return buf
+	for i := range m.fetchBuf {
+		m.fetchBuf[i] = m.mem[m.trunc(pc+uint64(i))]
+	}
+	return m.fetchBuf
 }
 
 func (m *Machine) trap(code uint64) (halt bool, err error) {

@@ -6,6 +6,7 @@
 package decoder
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -91,7 +92,8 @@ func (d *Decoder) word(b []byte) uint64 {
 	return v
 }
 
-// ErrNoMatch reports undecodable bytes.
+// ErrNoMatch reports undecodable bytes. Bytes is a copy: callers may
+// reuse the buffer they decoded from.
 type ErrNoMatch struct {
 	Bytes []byte
 }
@@ -123,7 +125,7 @@ func (d *Decoder) Decode(mem []byte) (Decoded, error) {
 	if n > len(mem) {
 		n = len(mem)
 	}
-	return Decoded{}, &ErrNoMatch{Bytes: mem[:n]}
+	return Decoded{}, &ErrNoMatch{Bytes: bytes.Clone(mem[:n])}
 }
 
 // Window returns how many leading bytes of mem the decode dec depends

@@ -125,9 +125,15 @@ func TestDecodeUnknownBytes(t *testing.T) {
 		t.Error("all-ones word decoded on rv32i")
 	}
 	var nm *decoder.ErrNoMatch
-	_, err := d.Decode([]byte{0xff, 0xff, 0xff, 0xff})
+	buf := []byte{0xff, 0xff, 0xff, 0xff}
+	_, err := d.Decode(buf)
 	if !errorsAs(err, &nm) {
-		t.Errorf("error type %T", err)
+		t.Fatalf("error type %T", err)
+	}
+	// The error keeps its own copy: the emulator reuses its fetch buffer.
+	buf[0] = 0
+	if nm.Bytes[0] != 0xff {
+		t.Errorf("ErrNoMatch.Bytes aliases the decoded buffer: % x", nm.Bytes)
 	}
 }
 

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"repro/internal/bv"
 )
@@ -9,9 +10,14 @@ import (
 // Builder creates and interns expressions. A Builder is not safe for
 // concurrent use; the symbolic execution engine owns one per analysis.
 type Builder struct {
-	interned map[key]*Expr
-	nextID   uint32
-	vars     map[string]*Expr
+	// table is an open-addressing hash set of every interned node, probed
+	// linearly from home(h0); its length is a power of two and at most
+	// 3/4 of its slots are full.
+	table  []*Expr
+	shift  uint   // 64 - log2(len(table))
+	seed   uint64 // scrambles home, so no input can choose its probe chains
+	nextID uint32
+	vars   map[string]*Expr
 
 	// Simplify enables the local rewriting rules beyond constant folding.
 	// It is on by default; the ablation benchmarks switch it off.
@@ -20,21 +26,30 @@ type Builder struct {
 	truE, falsE *Expr
 }
 
-type key struct {
-	kind  Kind
-	width uint8
-	val   uint64
-	name  string
-	a0    uint32
-	a1    uint32
-	a2    uint32
-	nargs uint8
+// The table starts small because many short-lived builders (one per
+// concolic run or daemon job) intern only a few hundred terms.
+const (
+	initialTableBits = 8
+	initialTableSize = 1 << initialTableBits
+)
+
+// home returns the slot at which the probe for a node with digest lane
+// h0 starts. The digest is the same in every process, and a constant's
+// is an invertible mix of its value, so a hostile program could pick
+// constants that share a slot; scrambling with the builder's random
+// seed and taking the top bits of a multiplicative hash makes the slot
+// unpredictable. Only probe order depends on the seed: ids and digests
+// do not.
+func (b *Builder) home(h0 uint64) uint64 {
+	return ((h0 ^ b.seed) * 0x9e3779b97f4a7c15) >> b.shift
 }
 
 // NewBuilder returns an empty Builder with simplification enabled.
 func NewBuilder() *Builder {
 	b := &Builder{
-		interned: make(map[key]*Expr),
+		table:    make([]*Expr, initialTableSize),
+		shift:    64 - initialTableBits,
+		seed:     rand.Uint64(),
 		vars:     make(map[string]*Expr),
 		Simplify: true,
 	}
@@ -43,29 +58,55 @@ func NewBuilder() *Builder {
 	return b
 }
 
+// mk returns the interned node with exactly these fields, creating it on
+// a miss. A slot matches only on the full structure, operand pointers in
+// order included, so neither a digest collision nor a commutative operand
+// swap ever merges two nodes.
 func (b *Builder) mk(kind Kind, width uint8, val uint64, name string, a0, a1, a2 *Expr) *Expr {
-	k := key{kind: kind, width: width, val: val, name: name}
-	if a0 != nil {
-		k.a0, k.nargs = a0.id, 1
+	h0, h1 := nodeDigest(kind, width, val, name, a0, a1, a2)
+	args := [3]*Expr{a0, a1, a2}
+	mask := uint64(len(b.table) - 1)
+	i := b.home(h0)
+	for e := b.table[i]; e != nil; e = b.table[i] {
+		if e.h0 == h0 && e.h1 == h1 && e.kind == kind && e.width == width && e.val == val &&
+			e.args == args && e.name == name {
+			return e
+		}
+		i = (i + 1) & mask
 	}
-	if a1 != nil {
-		k.a1, k.nargs = a1.id, 2
-	}
-	if a2 != nil {
-		k.a2, k.nargs = a2.id, 3
-	}
-	if e, ok := b.interned[k]; ok {
-		return e
+	var nargs uint8
+	for nargs < 3 && args[nargs] != nil {
+		nargs++
 	}
 	e := &Expr{
 		kind: kind, width: width, val: val, name: name,
-		args: [3]*Expr{a0, a1, a2}, nargs: k.nargs,
-		id: b.nextID,
+		args: args, nargs: nargs,
+		id: b.nextID, h0: h0, h1: h1,
 	}
-	e.h0, e.h1 = nodeDigest(kind, width, val, name, a0, a1, a2)
 	b.nextID++
-	b.interned[k] = e
+	b.table[i] = e
+	if uint64(b.nextID)*4 > uint64(len(b.table))*3 {
+		b.grow()
+	}
 	return e
+}
+
+// grow doubles the table, re-placing each node by its stored h0.
+func (b *Builder) grow() {
+	old := b.table
+	b.table = make([]*Expr, 2*len(old))
+	b.shift--
+	mask := uint64(len(b.table) - 1)
+	for _, e := range old {
+		if e == nil {
+			continue
+		}
+		i := b.home(e.h0)
+		for b.table[i] != nil {
+			i = (i + 1) & mask
+		}
+		b.table[i] = e
+	}
 }
 
 // Const returns the width-w constant v (truncated to w bits).

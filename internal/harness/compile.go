@@ -19,19 +19,25 @@ import (
 // compiled, interpreted and hand-written baseline. The symbolic engine
 // has no interpreted step path; its evaluator-level ablation is
 // BenchmarkCompiledVsInterp in internal/rtl. Repetitions are
-// interleaved across modes — compiled, interpreted, baseline,
-// compiled, ... — so a frequency ramp or background load skews every
-// mode equally; each mode's best rate is reported.
+// interleaved across modes and charged in CPU time by the instrument
+// overhead experiment's protocol (abMedians), so a frequency ramp or
+// background load skews every mode equally; each mode's median rate
+// and quartiles are reported, with the compiled side's A/A floor.
 
-// CompileConcRow is one concrete-layer workload measurement.
+// CompileConcRow is one concrete-layer workload measurement; the rates
+// are of each mode's median rep.
 type CompileConcRow struct {
 	Workload     string
 	Insns        int64
-	CompiledRate float64 // instructions per second, best of reps
+	CompiledRate float64 // instructions per CPU second
 	InterpRate   float64
 	BaseRate     float64
 	Speedup      float64 // compiled / interpreted
 	VsBase       float64 // baseline / compiled (1.0 = parity, <1 = faster than baseline)
+	Floor        float64 // compiled vs compiled again: the A/A noise of the row
+
+	insns [3]int64     // per mode: compiled, interpreted, baseline
+	cpu   [3]quartiles // per mode, CPU time per rep
 }
 
 // CompileBench is the full compiled-vs-interpreted experiment.
@@ -50,18 +56,7 @@ var compileWorkloads = []struct {
 	{"checksum", 4000},
 }
 
-const compileReps = 5
-
-// timedRate runs fn once and returns its instructions-per-second rate
-// and instruction count.
-func timedRate(fn func() int64) (rate float64, insns int64) {
-	t0 := time.Now()
-	insns = fn()
-	if el := time.Since(t0).Seconds(); el > 0 {
-		rate = float64(insns) / el
-	}
-	return rate, insns
-}
+const compileReps = 15
 
 // RunCompileBench measures the semantics compiler's effect on concrete
 // emulation (tiny32: the only ISA with a hand-written baseline).
@@ -92,22 +87,16 @@ func RunCompileBench() CompileBench {
 			return m.Steps
 		}
 
-		// Interleave: one rep of every mode per pass.
-		var crow CompileConcRow
-		crow.Workload = fmt.Sprintf("%s(n=%d)", wl.name, wl.n)
-		for rep := 0; rep < compileReps; rep++ {
-			r, n := timedRate(runConc(false))
-			if r > crow.CompiledRate {
-				crow.CompiledRate = r
-			}
-			crow.Insns = n
-			if r, _ := timedRate(runConc(true)); r > crow.InterpRate {
-				crow.InterpRate = r
-			}
-			if r, _ := timedRate(runBase); r > crow.BaseRate {
-				crow.BaseRate = r
-			}
-		}
+		// Interleaved reps charged in CPU time (abMedians): compiled is
+		// the off side, interpreted and baseline the variants.
+		crow := CompileConcRow{Workload: fmt.Sprintf("%s(n=%d)", wl.name, wl.n)}
+		modes := []func() int64{runConc(false), runConc(true), runBase}
+		off, on, floor := abMedians(compileReps, len(modes)-1, func(v int) {
+			crow.insns[v+1] = modes[v+1]()
+		})
+		crow.cpu = [3]quartiles{off, on[0], on[1]}
+		crow.Insns, crow.Floor = crow.insns[0], floor
+		crow.CompiledRate, crow.InterpRate, crow.BaseRate = crow.rate(0, off.med), crow.rate(1, on[0].med), crow.rate(2, on[1].med)
 		if crow.InterpRate > 0 {
 			crow.Speedup = crow.CompiledRate / crow.InterpRate
 		}
@@ -117,6 +106,21 @@ func RunCompileBench() CompileBench {
 		out.Conc = append(out.Conc, crow)
 	}
 	return out
+}
+
+// rate is mode m's instructions per second over a rep of CPU time d.
+func (r CompileConcRow) rate(m int, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(r.insns[m]) / d.Seconds()
+}
+
+// spread renders mode m's rate in millions: median [quartiles]. The
+// slow quartile of CPU time is the low quartile of rate.
+func (r CompileConcRow) spread(m int) string {
+	q := r.cpu[m]
+	return fmt.Sprintf("%.2fM [%.2f–%.2f]", r.rate(m, q.med)/1e6, r.rate(m, q.q3)/1e6, r.rate(m, q.q1)/1e6)
 }
 
 // geomean of the selected per-row values; 0 if any value is missing.
@@ -137,13 +141,13 @@ func geomean(vals []float64) float64 {
 // Print writes the table plus the aggregate ratios the acceptance
 // criteria are stated in.
 func (b CompileBench) Print(w io.Writer) {
-	fmt.Fprintf(w, "Compile: concrete emulation, compiled vs interpreted vs hand-written (tiny32)\n")
-	fmt.Fprintf(w, "%-16s %8s %14s %14s %14s %9s %9s\n",
-		"workload", "insns", "compiled i/s", "interp i/s", "baseline i/s", "speedup", "base/comp")
+	fmt.Fprintf(w, "Compile: concrete emulation, compiled vs interpreted vs hand-written (tiny32; insns per CPU second, median [quartiles] of %d reps)\n", compileReps)
+	fmt.Fprintf(w, "%-16s %8s %22s %22s %22s %9s %9s %7s\n",
+		"workload", "insns", "compiled i/s", "interp i/s", "baseline i/s", "speedup", "base/comp", "a/a")
 	var vsBase, concSpeed []float64
 	for _, r := range b.Conc {
-		fmt.Fprintf(w, "%-16s %8d %14.0f %14.0f %14.0f %8.2fx %9.2f\n",
-			r.Workload, r.Insns, r.CompiledRate, r.InterpRate, r.BaseRate, r.Speedup, r.VsBase)
+		fmt.Fprintf(w, "%-16s %8d %22s %22s %22s %8.2fx %9.2f %+6.1f%%\n",
+			r.Workload, r.Insns, r.spread(0), r.spread(1), r.spread(2), r.Speedup, r.VsBase, 100*r.Floor)
 		vsBase = append(vsBase, r.VsBase)
 		concSpeed = append(concSpeed, r.Speedup)
 	}

@@ -91,7 +91,7 @@ func runOverhead(k int, workerCounts []int, reps int) Overhead {
 			for v, in := range ins {
 				row := OverheadRow{
 					Instrument: in.name, Workload: wl.name, Workers: nw, Paths: paths[v],
-					CPUOff: off, CPUOn: on[v], Overhead: relative(on[v], off), Floor: floor,
+					CPUOff: off.med, CPUOn: on[v].med, Overhead: relative(on[v].med, off.med), Floor: floor,
 				}
 				if in.detail != nil {
 					row.Detail = in.detail()
@@ -220,7 +220,7 @@ func instruments(wl workload, nw int, led *ledger.Ledger, ckpt string) []instrum
 // by their medians, so one noisy run cannot swing a figure: off is the
 // first off side, on[v] variant v, and floor is the second off side vs
 // the first, the A/A noise an overhead has to clear to mean anything.
-func abMedians(reps, n int, run func(v int)) (off time.Duration, on []time.Duration, floor float64) {
+func abMedians(reps, n int, run func(v int)) (off quartiles, on []quartiles, floor float64) {
 	run(-1)
 	sides := make([][]time.Duration, n+2) // off, the variants, off again
 	for rep := 0; rep < reps; rep++ {
@@ -235,13 +235,17 @@ func abMedians(reps, n int, run func(v int)) (off time.Duration, on []time.Durat
 			sides[side] = append(sides[side], processCPU()-t0)
 		}
 	}
-	med := make([]time.Duration, len(sides))
+	qs := make([]quartiles, len(sides))
 	for i, d := range sides {
 		slices.Sort(d)
-		med[i] = d[len(d)/2]
+		qs[i] = quartiles{q1: d[len(d)/4], med: d[len(d)/2], q3: d[3*len(d)/4]}
 	}
-	return med[0], med[1 : n+1], relative(med[n+1], med[0])
+	return qs[0], qs[1 : n+1], relative(qs[n+1].med, qs[0].med)
 }
+
+// quartiles are one side's lower quartile, median and upper quartile
+// CPU time per run (nearest rank).
+type quartiles struct{ q1, med, q3 time.Duration }
 
 // relative returns x's change over base as a fraction, 0 without a base.
 func relative(x, base time.Duration) float64 {
