@@ -32,7 +32,7 @@ vet:
 	go vet ./...
 
 race:
-	go test -race ./internal/core ./internal/smt ./internal/difftest ./internal/obs ./internal/cover ./internal/faultinject ./internal/rtl ./internal/conc ./internal/service ./internal/profile ./internal/ledger ./internal/wal
+	go test -race ./internal/core ./internal/expr ./internal/smt ./internal/difftest ./internal/obs ./internal/cover ./internal/faultinject ./internal/rtl ./internal/conc ./internal/service ./internal/profile ./internal/ledger ./internal/wal
 	go test -race -run 'TestOverheadRows' ./internal/harness
 
 bench:

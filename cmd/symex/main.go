@@ -217,8 +217,8 @@ func main() {
 		if r.Stats.WallTime > 0 {
 			util = 100 * float64(ws.Busy) / float64(r.Stats.WallTime)
 		}
-		fmt.Fprintf(os.Stderr, "worker %d: %d instructions, %d paths, %d steals, %.0f%% busy\n",
-			ws.ID, ws.Steps, ws.Paths, ws.Steals, util)
+		fmt.Fprintf(os.Stderr, "worker %d: %d instructions, %d paths, %.0f%% busy\n",
+			ws.ID, ws.Steps, ws.Paths, util)
 	}
 	// Governor and fault-isolation diagnostics (docs/robustness.md):
 	// only printed when something actually degraded or panicked.

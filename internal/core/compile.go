@@ -11,8 +11,8 @@
 //
 // The cache is shared by every worker of a parallel run: compiled
 // closures capture only immutable ADL data (resolved registers, widths,
-// immediates), never a builder, so one unit serves any worker's builder
-// at execution time.
+// immediates), never a builder, so one unit serves every worker at
+// execution time.
 //
 // Self-modifying code: a state whose memory overlay touches the bytes an
 // instruction's decode depends on (its decode window, see

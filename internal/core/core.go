@@ -87,11 +87,12 @@ type Options struct {
 	// Workers is the number of exploration workers; 0 means 1. Every
 	// worker runs the same exploration loop over one shared,
 	// strategy-aware frontier. Worker 0 is the engine itself on the
-	// caller's goroutine, so a one-worker run starts no goroutine, moves
-	// no term between builders and reports paths in exploration order,
-	// fully deterministically. Each further worker owns its own
-	// expression builder and solver (neither is goroutine-safe) and
-	// re-homes stolen states onto its builder via a term-transfer pass.
+	// caller's goroutine, so a one-worker run starts no goroutine, takes
+	// no lock on the expression builder and reports paths in exploration
+	// order, fully deterministically. With more than one worker every
+	// worker interns into the engine's one builder, which Run makes
+	// shared (locked) first, and each further worker owns a solver, since
+	// an incremental SAT instance is stateful.
 	// The explored path set, the bug sites and the coverage are
 	// deterministic and identical to a one-worker run as long as no
 	// budget (MaxPaths, MaxStates, StopOnBug, Cancel) truncates the
@@ -324,7 +325,6 @@ type WorkerStat struct {
 	ID     int
 	Steps  int64         // instructions executed by this worker
 	Paths  int           // paths this worker completed
-	Steals int64         // states claimed from other workers' forks
 	Busy   time.Duration // time spent executing (vs waiting on the frontier)
 	Solver smt.Stats
 }
@@ -415,9 +415,8 @@ type Engine struct {
 
 	// front is the frontier of the ongoing Run, shared by its workers
 	// (the worker's index is rec.wid).
-	front  *frontier
-	steals int64         // states adopted from other workers' builders
-	busy   time.Duration // time spent executing states (parallel runs)
+	front *frontier
+	busy  time.Duration // time spent executing states (parallel runs)
 
 	// rec is this engine's (or worker's) event recorder (record.go), the
 	// one writer of Stats counters, Progress, metrics, profile and trace.

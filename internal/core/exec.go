@@ -17,7 +17,6 @@ func (e *Engine) initialState() *State {
 		regs: make([]*expr.Expr, len(e.Arch.Regs)),
 		mem:  newMemory(e.Prog.Image(), bv.Mask(e.Arch.Bits)),
 		PC:   e.Prog.Entry,
-		home: e.B,
 		// The empty path condition holds under any assignment.
 		model: expr.Env{},
 	}

@@ -3,16 +3,16 @@
 // and settles its successors, completed paths into its report and live
 // states back into the frontier. Options.Workers sets how many workers
 // run the loop; worker 0 is the calling engine on the caller's
-// goroutine, so a one-worker run starts no goroutine and moves no term
-// between builders.
+// goroutine, so a one-worker run starts no goroutine and takes no
+// builder lock.
 //
-// Expression builders and solvers are not goroutine-safe, so every other
-// worker is a full sub-Engine owning its own Builder, Solver and decode
-// cache; read-only machinery (architecture model, decoder, program,
-// layout, checkers) and the concurrency-safe tables (solver-query cache,
-// bug dedup, visit counts) are shared. A worker that claims a state
-// forked on another worker's builder re-homes it with a term-transfer
-// pass (expr.Transfer) before executing it.
+// Every worker interns into the engine's one expression builder, which
+// Run shares (expr.Builder.Share) before the first worker starts, so a
+// state runs on any worker as it is. Solvers are stateful, so every
+// other worker is a sub-Engine owning its own Solver and scratch;
+// read-only machinery (architecture model, decoder, program, layout,
+// checkers) and the concurrency-safe tables (builder, solver-query
+// cache, compile cache, bug dedup, visit counts) are shared.
 //
 // Determinism: a one-worker run is fully deterministic — path order and
 // IDs, bugs and every counter. With several workers the set of paths
@@ -133,8 +133,7 @@ func (t *visitTable) distinct() int {
 // until work arrives, every worker is idle (global termination), or the
 // run is stopped. The exploration strategy picks which state a pop
 // returns; with several workers the strategy is necessarily
-// approximate, since each worker also keeps a DFS child inline for
-// builder locality.
+// approximate, since each worker also keeps a DFS child inline.
 type frontier struct {
 	opts  Options
 	start time.Time
@@ -220,10 +219,9 @@ func (f *frontier) admit(rec *recorder, sts []*State) (cur *State) {
 }
 
 // pop removes the next state per the strategy, blocking while the queue
-// is empty but some worker may still produce work. home is the popping
-// worker's builder, used for transfer-avoiding affinity. ok is false when
-// the exploration is over (all workers idle, or the run was stopped).
-func (f *frontier) pop(home *expr.Builder) (st *State, ok bool) {
+// is empty but some worker may still produce work. ok is false when the
+// exploration is over (all workers idle, or the run was stopped).
+func (f *frontier) pop() (st *State, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
@@ -231,7 +229,7 @@ func (f *frontier) pop(home *expr.Builder) (st *State, ok bool) {
 			return nil, false
 		}
 		if len(f.items) > 0 {
-			return f.take(home), true
+			return f.take(), true
 		}
 		f.waiting++
 		if f.waiting == f.workers {
@@ -246,33 +244,12 @@ func (f *frontier) pop(home *expr.Builder) (st *State, ok bool) {
 	}
 }
 
-// affinityWindow bounds how far from the strategy's preferred end a pop
-// may deviate to find a state already homed on the popping worker's
-// builder (saving a term transfer). Small, so the search order stays an
-// approximation of the strategy rather than per-worker DFS. In a
-// one-worker run every state is homed on the one builder, so the
-// strategy's own pick always wins.
-const affinityWindow = 8
-
 // take picks an index per the strategy. Caller holds f.mu.
-func (f *frontier) take(home *expr.Builder) *State {
+func (f *frontier) take() *State {
 	idx := len(f.items) - 1 // DFS default
 	switch f.opts.Strategy {
-	case DFS:
-		for i := idx; i >= 0 && i > idx-affinityWindow; i-- {
-			if f.items[i].home == home {
-				idx = i
-				break
-			}
-		}
 	case BFS:
 		idx = 0
-		for i := 0; i < len(f.items) && i < affinityWindow; i++ {
-			if f.items[i].home == home {
-				idx = i
-				break
-			}
-		}
 	case Random:
 		idx = f.rng.Intn(len(f.items))
 	case Coverage:
@@ -368,6 +345,9 @@ func (e *Engine) Run() (*Report, error) {
 	e.front = f
 
 	workers := []*Engine{e}
+	if nw > 1 {
+		e.B.Share()
+	}
 	var wg sync.WaitGroup
 	for i := 1; i < nw; i++ {
 		w := e.workerEngine(i, f)
@@ -407,9 +387,9 @@ func (e *Engine) Run() (*Report, error) {
 // lock and reads no clock.
 func (e *Engine) explore(f *frontier) {
 	// Backstop: panics escaping the per-path boundary (frontier
-	// bookkeeping, adopt/transfer, merge plumbing) kill only this
-	// worker. The frontier drops it from the quiescence count and the
-	// fault is recorded on the worker's report.
+	// bookkeeping, merge plumbing) kill only this worker. The frontier
+	// drops it from the quiescence count and the fault is recorded on
+	// the worker's report.
 	defer func() {
 		if p := recover(); p != nil {
 			f.workerDied()
@@ -466,13 +446,12 @@ func (e *Engine) explore(f *frontier) {
 		}
 		if cur == nil {
 			var ok bool
-			if cur, ok = f.pop(e.B); !ok {
+			if cur, ok = f.pop(); !ok {
 				return
 			}
 			if parallel { // bursts feed WorkerStats and the trace
 				t0, burstID, burstPC = time.Now(), cur.ID, cur.PC
 			}
-			e.adopt(cur)
 		}
 		if reason := f.stopReason(); reason != "" {
 			f.stop(&e.rec, reason, cur, nil)
@@ -509,14 +488,12 @@ func (e *Engine) settle(f *frontier, children []*State) *State {
 }
 
 // workerEngine builds the sub-Engine for worker i ≥ 1: a private
-// Builder and Solver over the shared read-only machinery.
+// Solver over the engine's shared builder and read-only machinery.
 func (e *Engine) workerEngine(i int, f *frontier) *Engine {
-	b := expr.NewBuilder()
-	b.Simplify = !e.Opts.NoSimplify
 	w := &Engine{
 		Arch:       e.Arch,
-		B:          b,
-		Solver:     smt.New(b),
+		B:          e.B,
+		Solver:     smt.New(e.B),
 		Dec:        e.Dec,
 		Prog:       e.Prog,
 		Opts:       e.Opts,
@@ -541,35 +518,10 @@ func (e *Engine) workerEngine(i int, f *frontier) *Engine {
 	return w
 }
 
-// adopt re-homes a state onto this worker's builder by transferring every
-// live term. The state's register, path-condition and output slices are
-// its own (clone copies them) and it was just popped, so they are
-// rewritten in place; its memory pages may be shared with a sibling on
-// another worker, so they are rewritten copy-on-write. Reading the source
-// builder's nodes is safe because expression nodes are immutable.
-func (e *Engine) adopt(st *State) {
-	if st.home == e.B {
-		return
-	}
-	e.steals++
-	memo := make(map[*expr.Expr]*expr.Expr)
-	for i, r := range st.regs {
-		st.regs[i] = expr.Transfer(e.B, r, memo)
-	}
-	st.mem.each(func(a uint64, v *expr.Expr) { st.mem.set(a, expr.Transfer(e.B, v, memo)) })
-	for i, c := range st.PathCond {
-		st.PathCond[i] = expr.Transfer(e.B, c, memo)
-	}
-	for i, o := range st.Output {
-		st.Output[i] = expr.Transfer(e.B, o, memo)
-	}
-	st.home = e.B
-}
-
 // mergeWorkers folds the private reports of workers[1:] into e's —
-// worker 0's — in a canonical order, and re-homes the surviving terms
-// onto e's builder, so post-Run uses of e.B and e.Solver against the
-// report (e.g. re-checking a path condition) keep working.
+// worker 0's — in a canonical order. Every worker interned into e.B, so
+// post-Run uses of e.B and e.Solver against the report (e.g. re-checking
+// a path condition) work on the merged terms as they are.
 func (e *Engine) mergeWorkers(workers []*Engine) {
 	s := &e.report.Stats
 	for _, w := range workers {
@@ -578,7 +530,6 @@ func (e *Engine) mergeWorkers(workers []*Engine) {
 			ID:     w.rec.wid,
 			Steps:  ws.Instructions,
 			Paths:  ws.PathsDone,
-			Steals: w.steals,
 			Busy:   w.busy,
 			Solver: w.Solver.Stats,
 		})
@@ -610,23 +561,8 @@ func (e *Engine) mergeWorkers(workers []*Engine) {
 		}
 		return a.Depth < b.Depth
 	})
-	memo := make(map[*expr.Expr]*expr.Expr)
 	for i := range paths {
 		paths[i].ID = i
-		for k, c := range paths[i].PathCond {
-			paths[i].PathCond[k] = expr.Transfer(e.B, c, memo)
-		}
-		for k, o := range paths[i].Output {
-			paths[i].Output[k] = expr.Transfer(e.B, o, memo)
-		}
-		if end := paths[i].End; end != nil {
-			for k, r := range end.Regs {
-				end.Regs[k] = expr.Transfer(e.B, r, memo)
-			}
-			for a, v := range end.Mem {
-				end.Mem[a] = expr.Transfer(e.B, v, memo)
-			}
-		}
 	}
 	sort.Slice(bugs, func(i, j int) bool {
 		a, b := &bugs[i], &bugs[j]

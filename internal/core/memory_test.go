@@ -13,8 +13,8 @@ import (
 
 // Copy-on-write memory (state.go): forks share the page table and the
 // pages until one side writes, the written-byte count stays exact, and
-// neither a sibling's write nor a cross-worker adopt reaches through a
-// shared page.
+// no sibling's write, on this goroutine or another worker's, reaches
+// through a shared page.
 
 // fillOverlay writes size bytes starting at addr.
 func fillOverlay(b *expr.Builder, m *Memory, addr uint64, size int) {
@@ -193,59 +193,57 @@ func TestOverlaySizeExactAfterOverwrites(t *testing.T) {
 	}
 }
 
-// TestAdoptLeavesSharedPagesIntact: a state whose pages are shared with
-// a live sibling is adopted by another worker while the sibling reads
-// its memory. The adopt must copy the shared pages (the race detector
-// watches the concurrent reads) and leave every sibling cell the exact
-// term it was.
-func TestAdoptLeavesSharedPagesIntact(t *testing.T) {
-	a := arch.MustLoad("tiny32")
-	p, err := asm.New(a).Assemble("adopt.s", "_start:\n\thalt\n")
-	if err != nil {
-		t.Fatal(err)
+// TestSharedPagesCopyOnWrite: two forked siblings share every page of
+// a three-page buffer, as siblings running on two workers do. One
+// rewrites the whole buffer on another goroutine while the other reads
+// it, both interning into one shared builder; the race detector watches
+// the shared pages. Neither sibling sees the other's writes.
+func TestSharedPagesCopyOnWrite(t *testing.T) {
+	b := expr.NewBuilder()
+	b.Share()
+	x, y := b.Var(32, "x"), b.Var(32, "y")
+	const lo, size = 0x2000, 3 * pageSize
+	st := newMemory(nil, 0xffffffff)
+	for off := uint64(0); off < size; off += 4 {
+		st.Write(b, lo+off, 4, b.Add(x, b.Const(32, off)), true)
 	}
-	e := NewEngine(a, p, Options{Workers: 4})
-	st := e.initialState()
-	x := e.B.Var(32, "x")
-	for off := uint64(0); off < 3*pageSize; off += 4 {
-		st.mem.Write(e.B, 0x2000+off, 4, e.B.Add(x, e.B.Const(32, off)), true)
-	}
-	sib := st.clone(e.nextID)
+	sib := st.clone()
 	before := map[uint64]*expr.Expr{}
-	sib.mem.each(func(a uint64, v *expr.Expr) { before[a] = v })
+	st.each(func(a uint64, v *expr.Expr) { before[a] = v })
 
-	w := e.workerEngine(1, nil)
-	done := make(chan int)
+	done := make(chan struct{})
 	go func() {
-		n := 0
-		for i := 0; i < 20; i++ {
-			sib.mem.each(func(uint64, *expr.Expr) { n++ })
+		defer close(done)
+		for off := uint64(0); off < size; off += 4 {
+			sib.Write(b, lo+off, 4, b.Xor(y, b.Const(32, off)), true)
 		}
-		done <- n
 	}()
-	w.adopt(st)
+	for i := 0; i < 20; i++ {
+		for off := uint64(0); off < size; off += 4 {
+			st.Read(b, lo+off, 4, true)
+		}
+	}
 	<-done
 
-	if st.home != w.B {
-		t.Fatal("adopted state not re-homed")
+	if st.OverlaySize() != len(before) || sib.OverlaySize() != len(before) {
+		t.Fatalf("overlay sizes %d and %d, want %d", st.OverlaySize(), sib.OverlaySize(), len(before))
 	}
-	if st.mem.OverlaySize() != len(before) || sib.mem.OverlaySize() != len(before) {
-		t.Fatalf("overlay sizes adopted=%d sibling=%d, want %d", st.mem.OverlaySize(), sib.mem.OverlaySize(), len(before))
-	}
-	sib.mem.each(func(a uint64, v *expr.Expr) {
+	st.each(func(a uint64, v *expr.Expr) {
 		if before[a] != v {
-			t.Fatalf("sibling byte %#x changed by the adopt", a)
-		}
-		if st.mem.get(a) == v {
-			t.Fatalf("adopted byte %#x still on the source builder", a)
+			t.Fatalf("byte %#x changed by the sibling's write", a)
 		}
 	})
+	for off := uint64(0); off < size; off += 4 {
+		if got, want := sib.Read(b, lo+off, 4, true), b.Xor(y, b.Const(32, off)); got != want {
+			t.Fatalf("sibling reads %v at %#x, want its own write %v", got, lo+off, want)
+		}
+	}
 
-	// The sibling keeps running on its own worker; its writes stay
-	// invisible to the adopted state.
-	sib.mem.SetByte(0x2000, e.B.Const(8, 0xee))
-	if got := st.mem.ByteAt(w.B, 0x2000); got.IsConst() {
-		t.Errorf("adopted state sees the sibling's later write: %v", got)
+	// The first state writes after the fork too; the sibling does not
+	// see it.
+	st.SetByte(lo, b.Const(8, 0xee))
+	if got := sib.ByteAt(b, lo); got != b.Extract(y, 7, 0) {
+		t.Errorf("sibling sees the other state's later write: %v", got)
 	}
 }
 
@@ -286,7 +284,6 @@ next%d:
 	if err != nil {
 		t.Fatal(err)
 	}
-	var steals int64
 	endStates := func(workers int) map[uint64]string {
 		e := NewEngine(a, p, Options{InputBytes: 6, MaxPaths: 1000, Workers: workers, CaptureEndState: true})
 		r, err := e.Run()
@@ -296,9 +293,6 @@ next%d:
 		if len(r.Paths) != 64 {
 			t.Fatalf("workers=%d: %d paths, want 64", workers, len(r.Paths))
 		}
-		for _, ws := range r.Stats.WorkerStats {
-			steals += ws.Steals
-		}
 		out := map[uint64]string{}
 		for _, pr := range r.Paths {
 			out[pr.sig] = fmt.Sprint(pr.Status, pr.Output, pr.End.Mem)
@@ -307,7 +301,6 @@ next%d:
 	}
 	serial := endStates(1)
 	par := endStates(4)
-	t.Logf("%d states adopted across workers", steals)
 	for sig, want := range serial {
 		if par[sig] != want {
 			t.Errorf("path %#x: parallel end state\n  %s\nwant\n  %s", sig, par[sig], want)

@@ -58,7 +58,6 @@ func (e *Engine) merge(a, b *State) *State {
 		inputCount: a.inputCount,
 		PathCond:   []*expr.Expr{e.B.BoolOr(condA, condB)},
 		model:      a.model, // satisfies condA, hence the disjunction
-		home:       e.B,
 	}
 	m.sig = expr.MixHash(0, expr.Hash(m.PathCond[0]))
 	e.nextID++

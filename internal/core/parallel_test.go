@@ -8,6 +8,7 @@ import (
 	"repro/arch"
 	"repro/internal/checker"
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/harness"
 )
 
@@ -200,6 +201,42 @@ func TestParallelForkHeavyRace(t *testing.T) {
 	}
 	if len(r.Stats.WorkerStats) != 8 {
 		t.Errorf("worker stats entries = %d, want 8", len(r.Stats.WorkerStats))
+	}
+}
+
+// TestParallelReportTermsInterned: every worker of a parallel run
+// interns into the engine's one builder, so each term of the merged
+// report (path conditions, outputs, end registers and memory) is a node
+// of e.B, whichever worker built it: parsing the terms' wire form back
+// into e.B returns the very same pointers.
+func TestParallelReportTermsInterned(t *testing.T) {
+	p := build(t, "tiny32", harness.BranchLadder("tiny32", 6))
+	e := core.NewEngine(arch.MustLoad("tiny32"), p,
+		core.Options{InputBytes: 6, MaxPaths: 5000, Workers: 4, CaptureEndState: true})
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []*expr.Expr
+	for _, pr := range r.Paths {
+		roots = append(roots, pr.PathCond...)
+		roots = append(roots, pr.Output...)
+		roots = append(roots, pr.End.Regs...)
+		for _, v := range pr.End.Mem {
+			roots = append(roots, v)
+		}
+	}
+	if len(r.Paths) != 64 || len(roots) == 0 {
+		t.Fatalf("%d paths with %d terms, want 64 paths", len(r.Paths), len(roots))
+	}
+	got, err := expr.Parse(e.B, expr.Serialize(roots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range roots {
+		if got[i] != roots[i] {
+			t.Fatalf("report term %d (%v) is not a node of the engine's builder", i, roots[i])
+		}
 	}
 }
 

@@ -349,7 +349,6 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 			Output:     out,
 			inputCount: ss.InputCount,
 			sig:        ss.Sig,
-			home:       e.B,
 		})
 	}
 	e.rec.resume(s.Stats, len(live), len(s.Visits))

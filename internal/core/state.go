@@ -44,11 +44,6 @@ type State struct {
 	// completed paths canonically.
 	sig uint64
 
-	// home is the Builder that owns this state's terms. A worker claiming
-	// a state forked on another worker's builder must re-home it (term
-	// transfer) before touching it.
-	home *expr.Builder
-
 	// Terminal status, set when the path completes.
 	Done   bool
 	Status Status
@@ -211,8 +206,7 @@ func (m *Memory) set(addr uint64, v *expr.Expr) {
 	p.cells[i] = v
 }
 
-// each calls fn for every written byte, in no particular order. fn may
-// set bytes of m.
+// each calls fn for every written byte, in no particular order.
 func (m *Memory) each(fn func(addr uint64, v *expr.Expr)) {
 	for k, p := range m.pages {
 		for i, v := range &p.cells {

@@ -150,8 +150,9 @@ func randomEnv(r *rand.Rand, roots ...*expr.Expr) expr.Env {
 //     must stay Sat.
 //   - Unsat answers must resist random concrete assignments.
 //   - A query-cached solver, an uncached solver, and per-goroutine
-//     solvers fed through expr.Transfer with a shared cache must all
-//     agree on the verdict.
+//     solvers over the one shared builder with a shared cache must all
+//     agree on the verdict; each goroutine also interns and pins a term
+//     of its own, concurrently with the others.
 func (r *run) solverRound(subSeed int64) {
 	r.res.Checks[LayerSolver]++
 	// The solver layer builds its own solvers and is deliberately not
@@ -221,9 +222,12 @@ func (r *run) solverRound(subSeed int64) {
 		return
 	}
 
-	// Per-goroutine solvers over transferred terms and a shared query
-	// cache agree with the reference verdict (PR 1's transfer + cache
-	// machinery under the oracle).
+	// Per-goroutine solvers over the one shared builder and a shared
+	// query cache agree with the reference verdict, as the workers of a
+	// parallel run do. On Sat each goroutine draws a term of its own,
+	// interning it concurrently with the others, and pins it to its
+	// model value, which must stay Sat.
+	b.Share()
 	for _, w := range r.opts.Workers {
 		if w < 2 {
 			continue
@@ -232,25 +236,26 @@ func (r *run) solverRound(subSeed int64) {
 		results := make([]smt.Result, w)
 		errs := make([]error, w)
 		models := make([]expr.Env, w)
+		pinned := make([]smt.Result, w)
+		pins := make([]*expr.Expr, w)
 		var wg sync.WaitGroup
 		for i := 0; i < w; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				wb := expr.NewBuilder()
-				memo := make(map[*expr.Expr]*expr.Expr)
-				wconds := make([]*expr.Expr, len(conds))
-				for k, c := range conds {
-					wconds[k] = expr.Transfer(wb, c, memo)
-				}
-				s := smt.New(wb)
+				s := smt.New(b)
 				s.Obs = r.sobs
 				s.Cache = shared
 				s.MaxConflicts = solverConflicts
-				results[i], errs[i] = s.Check(wconds...)
-				if results[i] == smt.Sat {
-					models[i] = s.Model()
+				results[i], errs[i] = s.Check(conds...)
+				if results[i] != smt.Sat {
+					return
 				}
+				models[i] = s.Model()
+				gen := newTermGen(b, rand.New(rand.NewSource(subSeed+int64(i)+1)))
+				t := gen.term(3, gen.width())
+				pins[i] = b.Eq(t, b.Const(t.Width(), expr.Eval(t, models[i])))
+				pinned[i], _ = s.Check(append(append([]*expr.Expr{}, conds...), pins[i])...)
 			}(i)
 		}
 		wg.Wait()
@@ -260,15 +265,19 @@ func (r *run) solverRound(subSeed int64) {
 				continue
 			}
 			if results[i] != res {
-				fail("worker %d/%d (transferred terms, shared cache) says %v, reference says %v", i, w, results[i], res)
+				fail("worker %d/%d (shared builder, shared cache) says %v, reference says %v", i, w, results[i], res)
 				return
 			}
 			if results[i] == smt.Sat {
 				for k, c := range conds {
 					if !expr.EvalBool(c, models[i]) {
-						fail("worker %d/%d Sat model does not satisfy condition %d on the original builder", i, w, k)
+						fail("worker %d/%d Sat model does not satisfy condition %d", i, w, k)
 						return
 					}
+				}
+				if pinned[i] == smt.Unsat {
+					fail("worker %d/%d: pinning a term to its model value turned Sat into Unsat (pin %v)", i, w, pins[i])
+					return
 				}
 			}
 		}

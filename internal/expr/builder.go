@@ -3,13 +3,21 @@ package expr
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 
 	"repro/internal/bv"
 )
 
-// Builder creates and interns expressions. A Builder is not safe for
-// concurrent use; the symbolic execution engine owns one per analysis.
+// Builder creates and interns expressions. The symbolic execution engine
+// owns one per analysis, and every worker of a parallel run interns into
+// it. A new Builder is for one goroutine; after Share it is safe for
+// concurrent use. Nodes are immutable once interned, so reading them
+// never takes a lock.
 type Builder struct {
+	// mu, non-nil once Share has been called, guards table, shift,
+	// nextID and vars. A Builder that was never shared takes no lock.
+	mu *sync.Mutex
+
 	// table is an open-addressing hash set of every interned node, probed
 	// linearly from home(h0); its length is a power of two and at most
 	// 3/4 of its slots are full.
@@ -58,18 +66,34 @@ func NewBuilder() *Builder {
 	return b
 }
 
+// Share makes b safe for concurrent use: from then on interning and
+// variable declaration take a mutex. Call it before b is handed to a
+// second goroutine; a Builder is never unshared.
+func (b *Builder) Share() {
+	if b.mu == nil {
+		b.mu = new(sync.Mutex)
+	}
+}
+
 // mk returns the interned node with exactly these fields, creating it on
 // a miss. A slot matches only on the full structure, operand pointers in
 // order included, so neither a digest collision nor a commutative operand
-// swap ever merges two nodes.
+// swap ever merges two nodes. A shared Builder probes and inserts under
+// b.mu; the digest is computed before taking it.
 func (b *Builder) mk(kind Kind, width uint8, val uint64, name string, a0, a1, a2 *Expr) *Expr {
 	h0, h1 := nodeDigest(kind, width, val, name, a0, a1, a2)
 	args := [3]*Expr{a0, a1, a2}
+	if b.mu != nil {
+		b.mu.Lock()
+	}
 	mask := uint64(len(b.table) - 1)
 	i := b.home(h0)
 	for e := b.table[i]; e != nil; e = b.table[i] {
 		if e.h0 == h0 && e.h1 == h1 && e.kind == kind && e.width == width && e.val == val &&
 			e.args == args && e.name == name {
+			if b.mu != nil {
+				b.mu.Unlock()
+			}
 			return e
 		}
 		i = (i + 1) & mask
@@ -87,6 +111,9 @@ func (b *Builder) mk(kind Kind, width uint8, val uint64, name string, a0, a1, a2
 	b.table[i] = e
 	if uint64(b.nextID)*4 > uint64(len(b.table))*3 {
 		b.grow()
+	}
+	if b.mu != nil {
+		b.mu.Unlock()
 	}
 	return e
 }
@@ -120,32 +147,41 @@ func (b *Builder) Const(w uint, v uint64) *Expr {
 // sort panics: variable names identify solver variables globally.
 func (b *Builder) Var(w uint, name string) *Expr {
 	bv.CheckWidth(w)
-	if e, ok := b.vars[name]; ok {
-		if e.Width() != w {
-			panic(fmt.Sprintf("expr: variable %q redeclared with width %d (was %d)", name, w, e.Width()))
-		}
-		return e
+	e, err := b.declare(KVar, uint8(w), name)
+	if err != nil {
+		panic(err)
 	}
-	e := b.mk(KVar, uint8(w), 0, name, nil, nil, nil)
-	b.vars[name] = e
 	return e
 }
 
 // BoolVar returns the boolean variable with the given name.
 func (b *Builder) BoolVar(name string) *Expr {
-	if e, ok := b.vars[name]; ok {
-		if !e.IsBool() {
-			panic(fmt.Sprintf("expr: variable %q redeclared as bool", name))
-		}
-		return e
+	e, err := b.declare(KBoolVar, 0, name)
+	if err != nil {
+		panic(err)
 	}
-	e := b.mk(KBoolVar, 0, 0, name, nil, nil, nil)
-	b.vars[name] = e
 	return e
 }
 
-// Vars returns all variables created so far, keyed by name.
-func (b *Builder) Vars() map[string]*Expr { return b.vars }
+// declare returns the variable of the given kind (KVar or KBoolVar),
+// width and name, creating it on first use, or an error when the name is
+// already declared with another width or sort. A rejected declaration
+// leaves its node interned, under no name.
+func (b *Builder) declare(kind Kind, width uint8, name string) (*Expr, error) {
+	e := b.mk(kind, width, 0, name, nil, nil, nil)
+	if b.mu != nil {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+	}
+	if prev, ok := b.vars[name]; ok {
+		if prev != e {
+			return nil, fmt.Errorf("expr: variable %q redeclared as %v width %d (was %v width %d)", name, kind, width, prev.kind, prev.width)
+		}
+		return e, nil
+	}
+	b.vars[name] = e
+	return e, nil
+}
 
 // Bool returns the boolean constant v.
 func (b *Builder) Bool(v bool) *Expr {

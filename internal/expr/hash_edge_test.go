@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestDigestDeepNesting pushes the structural digest and Transfer
-// through a deeply left-nested term: digests must agree across builders
-// with different intern histories, and Transfer must neither blow the
-// stack nor change digest or value.
+// TestDigestDeepNesting pushes the structural digest through a deeply
+// left-nested term: digests and values must agree across builders with
+// different intern histories.
 func TestDigestDeepNesting(t *testing.T) {
 	const depth = 2000
 	mk := func(b *Builder) *Expr {
@@ -31,16 +30,9 @@ func TestDigestDeepNesting(t *testing.T) {
 	if e1.Digest() != e2.Digest() {
 		t.Error("deeply nested digest differs across builders")
 	}
-
-	dst := NewBuilder()
-	memo := make(map[*Expr]*Expr)
-	out := Transfer(dst, e1, memo)
-	if out.Digest() != e1.Digest() {
-		t.Error("transfer changed the digest of a deep term")
-	}
 	env := Env{"x": 0xdeadbeef, "y": 17}
-	if Eval(out, env) != Eval(e1, env) {
-		t.Error("transfer changed the value of a deep term")
+	if Eval(e1, env) != Eval(e2, env) {
+		t.Error("deeply nested term evaluates differently across builders")
 	}
 }
 
@@ -115,7 +107,7 @@ func genTerm(b *Builder, r *rand.Rand, depth int) *Expr {
 
 // TestDigestRandomTermsCrossBuilder: random terms built twice from the
 // same choice stream in differently polluted builders must share a
-// digest, transfer losslessly, and evaluate identically.
+// digest and evaluate identically.
 func TestDigestRandomTermsCrossBuilder(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		b1 := NewBuilder()
@@ -129,105 +121,141 @@ func TestDigestRandomTermsCrossBuilder(t *testing.T) {
 		if e1.Digest() != e2.Digest() {
 			t.Fatalf("seed %d: digest differs across builders", seed)
 		}
-		dst := NewBuilder()
-		out := Transfer(dst, e1, make(map[*Expr]*Expr))
-		if out.Digest() != e1.Digest() {
-			t.Fatalf("seed %d: transfer changed the digest", seed)
-		}
 		er := rand.New(rand.NewSource(seed ^ 0x5a5a))
 		for i := 0; i < 4; i++ {
 			env := Env{"x": er.Uint64(), "y": er.Uint64()}
-			v1, v2, vo := Eval(e1, env), Eval(e2, env), Eval(out, env)
-			if v1 != v2 || v1 != vo {
-				t.Fatalf("seed %d env %v: values %d / %d / %d disagree", seed, env, v1, v2, vo)
+			if v1, v2 := Eval(e1, env), Eval(e2, env); v1 != v2 {
+				t.Fatalf("seed %d env %v: values %d / %d disagree", seed, env, v1, v2)
 			}
 		}
 	}
 }
 
-// TestTransferBoolTerms covers the boolean fragment: digests and truth
-// values must survive a transfer.
-func TestTransferBoolTerms(t *testing.T) {
-	src := NewBuilder()
-	x := src.Var(16, "x")
-	y := src.Var(16, "y")
-	p := src.BoolAnd(src.ULt(x, y), src.BoolNot(src.Eq(x, src.Const(16, 0))))
-	p = src.BoolOr(p, src.BoolXor(src.SLe(y, x), src.Bool(false)))
-	dst := NewBuilder()
-	out := Transfer(dst, p, make(map[*Expr]*Expr))
-	if out.Digest() != p.Digest() {
-		t.Error("bool transfer changed the digest")
+// TestDigestBoolTermsCrossBuilder covers the boolean fragment: a
+// predicate built in two builders with different intern histories has
+// one digest and one truth value.
+func TestDigestBoolTermsCrossBuilder(t *testing.T) {
+	mk := func(b *Builder) *Expr {
+		x := b.Var(16, "x")
+		y := b.Var(16, "y")
+		p := b.BoolAnd(b.ULt(x, y), b.BoolNot(b.Eq(x, b.Const(16, 0))))
+		return b.BoolOr(p, b.BoolXor(b.SLe(y, x), b.Bool(false)))
+	}
+	b1, b2 := NewBuilder(), NewBuilder()
+	b2.Var(16, "y") // reverse intern order in b2
+	b2.BoolVar("q")
+	p1, p2 := mk(b1), mk(b2)
+	if p1.Digest() != p2.Digest() {
+		t.Error("boolean term's digest differs across builders")
 	}
 	for _, env := range []Env{{"x": 0, "y": 5}, {"x": 5, "y": 0}, {"x": 3, "y": 3}} {
-		if EvalBool(out, env) != EvalBool(p, env) {
-			t.Errorf("bool transfer changed the truth value under %v", env)
+		if EvalBool(p1, env) != EvalBool(p2, env) {
+			t.Errorf("boolean term's truth value differs across builders under %v", env)
 		}
 	}
 }
 
-// TestTransferMultiRootMemo transfers several roots sharing subterms
-// through one memo: the shared subterm must land on a single destination
-// node reachable from both transferred roots.
+// The TestTransfer* tests below keep the names they had when terms were
+// copied between per-worker builders by a transfer pass. Workers now
+// share one builder, so each property is checked where it still lives:
+// in two builders with different intern histories, or in a builder
+// without rewrite rules against a simplifying one.
+
+// TestTransferMultiRootMemo builds several roots over one shared
+// subterm in two builders with different intern histories: each root
+// keeps its digest and value, and within each builder the shared
+// subterm is one node reachable from every root.
 func TestTransferMultiRootMemo(t *testing.T) {
-	src := NewBuilder()
-	x := src.Var(32, "x")
-	shared := src.Mul(src.Add(x, src.Const(32, 1)), x)
-	r1 := src.Xor(shared, src.Const(32, 42))
-	r2 := src.ULt(shared, x)
-	dst := NewBuilder()
-	memo := make(map[*Expr]*Expr)
-	o1 := Transfer(dst, r1, memo)
-	o2 := Transfer(dst, r2, memo)
-	if memo[shared] == nil {
-		t.Fatal("shared subterm missing from the memo")
+	type roots struct{ shared, r1, r2 *Expr }
+	mk := func(b *Builder) roots {
+		x := b.Var(32, "x")
+		shared := b.Mul(b.Add(x, b.Const(32, 1)), x)
+		return roots{
+			shared: shared,
+			r1:     b.Xor(shared, b.Const(32, 42)),
+			r2:     b.ULt(shared, x),
+		}
 	}
-	if o1.Arg(0) != memo[shared] && o1.Arg(1) != memo[shared] {
-		t.Error("first root does not reuse the memoized shared subterm")
+	b1, b2 := NewBuilder(), NewBuilder()
+	b2.Add(b2.Var(32, "pollute"), b2.Const(32, 1)) // diverge intern ids
+	a, c := mk(b1), mk(b2)
+	for _, r := range []roots{a, c} {
+		if r.r1.Arg(0) != r.shared && r.r1.Arg(1) != r.shared {
+			t.Error("first root does not reuse the shared subterm")
+		}
+		if r.r2.Arg(0) != r.shared && r.r2.Arg(1) != r.shared {
+			t.Error("second root does not reuse the shared subterm")
+		}
 	}
-	if o2.Arg(0) != memo[shared] && o2.Arg(1) != memo[shared] {
-		t.Error("second root does not reuse the memoized shared subterm")
+	if a.r1.Digest() != c.r1.Digest() || a.r2.Digest() != c.r2.Digest() {
+		t.Error("a root's digest differs across builders")
 	}
 	env := Env{"x": 77}
-	if Eval(o1, env) != Eval(r1, env) || EvalBool(o2, env) != EvalBool(r2, env) {
-		t.Error("multi-root transfer changed values")
+	if Eval(a.r1, env) != Eval(c.r1, env) || EvalBool(a.r2, env) != EvalBool(c.r2, env) {
+		t.Error("a root's value differs across builders")
 	}
 }
 
-// TestTransferEquivalentToEval: a term built without the rewrite rules
-// and transferred into a simplifying builder passes every node through
-// rebuild, which applies the destination's folding and rules per kind;
-// the result must evaluate like the source, for random expressions.
+// TestTransferMemoSharing: in (x+1)*(x+1) both operands are one node,
+// in a fresh builder and in one with a different intern history, and
+// the two products share a digest and a value.
+func TestTransferMemoSharing(t *testing.T) {
+	mk := func(b *Builder) *Expr {
+		x := b.Var(8, "x")
+		sum := b.Add(x, b.Const(8, 1))
+		return b.Mul(sum, sum)
+	}
+	b1, b2 := NewBuilder(), NewBuilder()
+	b2.Mul(b2.Var(8, "y"), b2.Const(8, 3)) // diverge intern ids
+	e1, e2 := mk(b1), mk(b2)
+	for _, e := range []*Expr{e1, e2} {
+		if e.Arg(0) != e.Arg(1) {
+			t.Error("shared subterm was not interned to one node")
+		}
+		if got := Eval(e, Env{"x": 4}); got != 25 {
+			t.Errorf("Eval = %d, want 25", got)
+		}
+	}
+	if e1.Digest() != e2.Digest() {
+		t.Error("digest differs across builders")
+	}
+}
+
+// TestTransferEquivalentToEval: the rewrite rules preserve values. A
+// random term built from one choice stream in a builder without rules
+// and in a simplifying one, which applies its folding and rules per
+// kind, must evaluate identically.
 func TestTransferEquivalentToEval(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 100; iter++ {
-		b := NewBuilder()
+	for seed := int64(0); seed < 100; seed++ {
 		plain := NewBuilder()
 		plain.Simplify = false
-		_, e := randomExpr(r, b, plain, []string{"a", "b"}, 16, 4)
-		out := Transfer(NewBuilder(), e, make(map[*Expr]*Expr))
+		simp := NewBuilder()
+		e1 := genTerm(plain, rand.New(rand.NewSource(seed)), 5)
+		e2 := genTerm(simp, rand.New(rand.NewSource(seed)), 5)
+		er := rand.New(rand.NewSource(seed ^ 0x33))
 		for i := 0; i < 4; i++ {
-			env := Env{"a": r.Uint64(), "b": r.Uint64()}
-			if got, want := Eval(out, env), Eval(e, env); got != want {
-				t.Fatalf("transfer %#x != source %#x for %v under %v", got, want, e, env)
+			env := Env{"x": er.Uint64(), "y": er.Uint64()}
+			if v1, v2 := Eval(e1, env), Eval(e2, env); v1 != v2 {
+				t.Fatalf("seed %d env %v: simplified %#x != unsimplified %#x for %v", seed, env, v2, v1, e1)
 			}
 		}
 	}
 }
 
-// TestTransferConstantsFold: rebuild folds the constants a rewrite in
-// the destination builder exposes. x - x is a node in a builder without
-// rules; rebuilt in a simplifying one it becomes 0, and the addition
-// over it folds to the constant.
+// TestTransferConstantsFold: a simplifying builder folds the constants
+// a rewrite exposes. x - x + 10 is a node over x in a builder without
+// rules; with the rules x - x becomes 0 and the addition over it folds
+// to the constant.
 func TestTransferConstantsFold(t *testing.T) {
 	plain := NewBuilder()
 	plain.Simplify = false
 	x := plain.Var(8, "x")
-	e := plain.Add(plain.Sub(x, x), plain.Const(8, 10))
-	if e.IsConst() {
-		t.Fatalf("source already folded: %v", e)
+	if e := plain.Add(plain.Sub(x, x), plain.Const(8, 10)); e.IsConst() || Eval(e, Env{"x": 3}) != 10 {
+		t.Fatalf("without rules x - x + 10 = %v, want a node over x evaluating to 10", e)
 	}
-	out := Transfer(NewBuilder(), e, make(map[*Expr]*Expr))
-	if !out.IsConst() || out.ConstVal() != 10 {
-		t.Errorf("transfer into a simplifying builder did not fold: %v", out)
+	simp := NewBuilder()
+	x = simp.Var(8, "x")
+	if e := simp.Add(simp.Sub(x, x), simp.Const(8, 10)); !e.IsConst() || e.ConstVal() != 10 {
+		t.Errorf("with rules x - x + 10 = %v, want the constant 10", e)
 	}
 }

@@ -3,8 +3,8 @@ package expr
 import "testing"
 
 // Structural digests must be independent of the owning Builder: the
-// parallel engine's query cache keys on them across workers that each
-// intern the same terms in a different order.
+// shared query cache and its persisted file key on them across engines
+// that each intern the same terms in a different order.
 func TestDigestBuilderIndependent(t *testing.T) {
 	mk := func(b *Builder) *Expr {
 		x := b.Var(32, "x")
@@ -70,39 +70,23 @@ func TestDigestDistinguishes(t *testing.T) {
 	}
 }
 
+// TestTransferPreservesDigestAndValue keeps the name it had when terms
+// were copied between builders by a transfer pass: an ITE term built in
+// two builders with different intern orders has one digest and one value.
 func TestTransferPreservesDigestAndValue(t *testing.T) {
-	src := NewBuilder()
-	x := src.Var(32, "x")
-	y := src.Var(32, "y")
-	e := src.ITE(src.ULt(x, y), src.Add(src.Mul(x, y), src.Const(32, 3)), src.Shl(x, src.Const(32, 2)))
-	dst := NewBuilder()
-	dst.Var(32, "y") // different intern order in the destination
-	memo := make(map[*Expr]*Expr)
-	out := Transfer(dst, e, memo)
-	if out.Digest() != e.Digest() {
-		t.Errorf("transfer changed the digest: %v vs %v", out.Digest(), e.Digest())
+	mk := func(b *Builder) *Expr {
+		x := b.Var(32, "x")
+		y := b.Var(32, "y")
+		return b.ITE(b.ULt(x, y), b.Add(b.Mul(x, y), b.Const(32, 3)), b.Shl(x, b.Const(32, 2)))
+	}
+	b1, b2 := NewBuilder(), NewBuilder()
+	b2.Var(32, "y") // different intern order in the second builder
+	e1, e2 := mk(b1), mk(b2)
+	if e1.Digest() != e2.Digest() {
+		t.Errorf("digest differs across builders: %v vs %v", e1.Digest(), e2.Digest())
 	}
 	env := Env{"x": 12, "y": 99}
-	if Eval(out, env) != Eval(e, env) {
-		t.Errorf("transfer changed the value: %d vs %d", Eval(out, env), Eval(e, env))
-	}
-	if memo[e] != out {
-		t.Error("memo does not record the transferred root")
-	}
-}
-
-func TestTransferMemoSharing(t *testing.T) {
-	src := NewBuilder()
-	x := src.Var(8, "x")
-	sum := src.Add(x, src.Const(8, 1))
-	top := src.Mul(sum, sum)
-	dst := NewBuilder()
-	memo := make(map[*Expr]*Expr)
-	out := Transfer(dst, top, memo)
-	if out.Arg(0) != out.Arg(1) {
-		t.Error("shared subterm was not interned to one node in the destination")
-	}
-	if got := Eval(out, Env{"x": 4}); got != 25 {
-		t.Errorf("Eval = %d, want 25", got)
+	if Eval(e1, env) != Eval(e2, env) {
+		t.Errorf("value differs across builders: %d vs %d", Eval(e1, env), Eval(e2, env))
 	}
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -131,14 +132,30 @@ func TestInternTableIdentity(t *testing.T) {
 	if b.nextID != n {
 		t.Fatalf("rebuilding interned %d new nodes", b.nextID-n)
 	}
-	// The table holds each id in [0, n) once, and every operand was
-	// created before the node that uses it.
-	ids := make([]bool, n)
+	checkTableIDs(t, b)
+
+	// Commutative operand order: equal digests, distinct nodes.
+	x, y := leaves[0], leaves[1]
+	xy, yx := b.Add(x, y), b.Add(y, x)
+	if xy == yx || xy.Digest() != yx.Digest() {
+		t.Fatalf("add(x,y) %p %v and add(y,x) %p %v: want distinct nodes with one digest", xy, xy.Digest(), yx, yx.Digest())
+	}
+	if b.Add(x, y) != xy || b.Add(y, x) != yx {
+		t.Fatal("a commutative rebuild returned the other operand order's node")
+	}
+}
+
+// checkTableIDs checks that b's table holds each issued id in
+// [0, nextID) once, and that every operand was created before the node
+// that uses it.
+func checkTableIDs(t *testing.T, b *Builder) {
+	t.Helper()
+	ids := make([]bool, b.nextID)
 	for _, e := range b.table {
 		if e == nil {
 			continue
 		}
-		if e.id >= n || ids[e.id] {
+		if e.id >= b.nextID || ids[e.id] {
 			t.Fatalf("id %d out of range or reused", e.id)
 		}
 		ids[e.id] = true
@@ -153,15 +170,64 @@ func TestInternTableIdentity(t *testing.T) {
 			t.Fatalf("id %d issued but not in the table", id)
 		}
 	}
+}
 
-	// Commutative operand order: equal digests, distinct nodes.
-	x, y := leaves[0], leaves[1]
-	xy, yx := b.Add(x, y), b.Add(y, x)
-	if xy == yx || xy.Digest() != yx.Digest() {
-		t.Fatalf("add(x,y) %p %v and add(y,x) %p %v: want distinct nodes with one digest", xy, xy.Digest(), yx, yx.Digest())
+// A shared builder interns concurrently: goroutines declaring the same
+// variables in different orders and building overlapping random terms
+// get one pointer per structure, ids stay unique and dense, and a later
+// serial rebuild interns nothing new. Run it under -race.
+func TestSharedBuilderConcurrentIntern(t *testing.T) {
+	const goroutines, span, stride = 8, 300, 100
+	b := NewBuilder()
+	b.Share()
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	leaves := make([][]*Expr, goroutines)
+	terms := make([][]*Expr, goroutines) // terms[g][i] is seed g*stride+i
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			order := rand.New(rand.NewSource(int64(g))).Perm(len(names))
+			leaves[g] = make([]*Expr, len(names))
+			for _, i := range order {
+				leaves[g][i] = b.Var(32, names[i])
+				b.BoolVar("p" + names[i])
+			}
+			for i := 0; i < span; i++ {
+				rng := rand.New(rand.NewSource(int64(g*stride + i)))
+				terms[g] = append(terms[g], buildRandomTerm(b, rng, leaves[g], 5))
+			}
+		}()
 	}
-	if b.Add(x, y) != xy || b.Add(y, x) != yx {
-		t.Fatal("a commutative rebuild returned the other operand order's node")
+	wg.Wait()
+
+	for g := 1; g < goroutines; g++ {
+		for i := range names {
+			if leaves[g][i] != leaves[0][i] {
+				t.Fatalf("goroutine %d declared %q as a second node", g, names[i])
+			}
+		}
+	}
+	bySeed := map[int]*Expr{}
+	for g := range terms {
+		for i, e := range terms[g] {
+			seed := g*stride + i
+			if prev, ok := bySeed[seed]; ok && prev != e {
+				t.Fatalf("seed %d built as two nodes: %p and %p", seed, prev, e)
+			}
+			bySeed[seed] = e
+		}
+	}
+	checkTableIDs(t, b)
+	n := b.nextID
+	for seed, e := range bySeed {
+		if got := buildRandomTerm(b, rand.New(rand.NewSource(int64(seed))), leaves[0], 5); got != e {
+			t.Fatalf("seed %d rebuilt as a new node", seed)
+		}
+	}
+	if b.nextID != n {
+		t.Fatalf("serial rebuild interned %d new nodes", b.nextID-n)
 	}
 }
 

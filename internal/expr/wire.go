@@ -221,14 +221,9 @@ func Parse(b *Builder, data []byte) ([]*Expr, error) {
 			}
 			name := string(r.b[r.off : r.off+nl])
 			r.off += nl
-			if prev, ok := b.vars[name]; ok {
-				if prev.kind != kind || prev.width != width {
-					return nil, fmt.Errorf("expr: wire: variable %q conflicts with existing declaration (width %d vs %d)", name, width, prev.width)
-				}
-				e = prev
-			} else {
-				e = b.mk(kind, width, 0, name, nil, nil, nil)
-				b.vars[name] = e
+			var err error
+			if e, err = b.declare(kind, width, name); err != nil {
+				return nil, fmt.Errorf("expr: wire: node %d: %w", n, err)
 			}
 		case KExtract:
 			if !r.need(2 + 4) {

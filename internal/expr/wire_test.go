@@ -60,11 +60,16 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("root %d: kind/width %v/%d != %v/%d", i, got[i].Kind(), got[i].Width(), roots[i].Kind(), roots[i].Width())
 		}
 	}
-	// Variables landed in the new Builder's registry with their sorts.
-	if v := b2.Vars()["x"]; v == nil || v.Width() != 32 {
+	// Variables landed in the new Builder's registry with their sorts:
+	// declaring them again returns the parsed nodes.
+	vars := map[string]*Expr{}
+	for _, v := range VarsOf(got...) {
+		vars[v.VarName()] = v
+	}
+	if v := vars["x"]; v == nil || b2.Var(32, "x") != v {
 		t.Errorf("variable x not registered after parse")
 	}
-	if v := b2.Vars()["p"]; v == nil || !v.IsBool() {
+	if v := vars["p"]; v == nil || b2.BoolVar("p") != v {
 		t.Errorf("boolean variable p not registered after parse")
 	}
 	// Byte-determinism: the same roots serialize to the same bytes from

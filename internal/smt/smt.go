@@ -75,6 +75,8 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Solver is an incremental QF_BV solver over expressions from one Builder.
+// A Solver is not safe for concurrent use; solvers on several goroutines
+// may share one Builder once it is shared (expr.Builder.Share).
 type Solver struct {
 	b   *expr.Builder
 	sat *sat.Solver
@@ -105,9 +107,9 @@ type Solver struct {
 	Inject *faultinject.Injector
 
 	// Cache, when non-nil, memoizes Check results across structurally
-	// identical queries. One cache may be shared by many solvers (each
-	// owning a different Builder) concurrently; the engine shares one
-	// across all exploration workers and concolic replays.
+	// identical queries. One cache may be shared concurrently by many
+	// solvers, over one Builder or several; the engine shares one across
+	// all exploration workers and concolic replays.
 	Cache *QueryCache
 
 	// Obs, when non-nil, feeds the registry-backed solver metrics
